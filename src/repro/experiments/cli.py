@@ -537,6 +537,20 @@ def _run_bench_gate(args) -> int:
     return 0
 
 
+def _positive(kind: type) -> Callable[[str], object]:
+    """An argparse ``type=`` accepting only values of ``kind`` above 0,
+    so bad input ends in a one-line usage error, not a traceback."""
+
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as invalid input
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full argument parser (also introspected by tools/docs_check.py)."""
     from ..obs import bench as _bench_defaults
@@ -622,21 +636,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve = parser.add_argument_group("serve (KV policy race)")
     serve.add_argument(
         "--tenants",
-        type=int,
+        type=_positive(int),
         default=3,
         metavar="N",
         help="tenants in the serving mix (default: 3)",
     )
     serve.add_argument(
         "--requests",
-        type=int,
+        type=_positive(int),
         default=800,
         metavar="N",
         help="requests per client stream (default: 800)",
     )
     serve.add_argument(
         "--slo-us",
-        type=float,
+        type=_positive(float),
         default=fig_serve.DEFAULT_SLO_US,
         metavar="US",
         help="per-tenant p99 latency SLO in simulated microseconds "

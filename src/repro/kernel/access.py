@@ -24,9 +24,9 @@ import numpy as np
 from ..errors import Errno, SegmentationFault, SimulationError, SyscallError
 from ..util.units import PAGE_SHIFT, PAGE_SIZE
 from .core import Kernel
-from .fault import demand_zero_batch, demand_zero_run, handle_fault, nt_fault_batch
+from .fault import demand_zero_batch, handle_fault, nt_fault_batch
 from .pagetable import PTE_COW, PTE_NEXTTOUCH, PTE_PRESENT, PTE_WRITE
-from .runops import cow_break_run, swap_in_run
+from .runops import cow_break_run, demand_zero_run, swap_in_run
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sched.thread import SimThread
@@ -83,6 +83,37 @@ def _run_scan(
         if r < hi - lo:
             break
     return n
+
+
+def _fault_storm(pt, swap_table, idx: int, first: int, write: bool, anon: bool, fresh):
+    """The run-op and run test for a ``batch=1`` fault storm starting at
+    page ``idx``, or ``None`` when the page takes the per-page fault
+    path (next-touch pages always do)."""
+    if first & PTE_NEXTTOUCH:
+        return None
+    if pt.frame[idx] < 0:
+        if swap_table is not None and swap_table[idx] >= 0:
+
+            def swapped(lo: int, hi: int) -> np.ndarray:
+                return (
+                    (pt.frame[lo:hi] < 0)
+                    & (swap_table[lo:hi] >= 0)
+                    & ((pt.flags[lo:hi] & PTE_NEXTTOUCH) == 0)
+                )
+
+            return swap_in_run, swapped
+        return (demand_zero_run, fresh) if anon else None
+    cow = PTE_PRESENT | PTE_COW
+    if write and anon and first & cow == cow:
+
+        def shared(lo: int, hi: int) -> np.ndarray:
+            m = (pt.flags[lo:hi] & cow) == cow
+            if swap_table is not None:
+                m &= swap_table[lo:hi] < 0
+            return m
+
+        return cow_break_run, shared
+    return None
 
 
 def touch_range(
@@ -144,15 +175,11 @@ def touch_range(
             retries = 0
             continue
         # First page needs a fault. Batch consecutive next-touch or
-        # consecutive unpopulated (first-touch) pages; swapped pages
-        # take the precise per-page path (they need disk I/O anyway).
+        # consecutive unpopulated (first-touch) pages; at batch=1 a
+        # fault storm (first touch, swap-in, COW break) replays as one
+        # run-op when its gate holds.
         swap_table = getattr(pt, "_swap_slots", None)
-        nt0 = bool(first & PTE_NEXTTOUCH)
-        unpop0 = (
-            not nt0
-            and int(pt.frame[idx]) < 0
-            and (swap_table is None or int(swap_table[idx]) < 0)
-        )
+        anon = getattr(vma, "_file", None) is None
 
         def _fresh(lo: int, hi: int) -> np.ndarray:
             m = (pt.frame[lo:hi] < 0) & ((pt.flags[lo:hi] & PTE_NEXTTOUCH) == 0)
@@ -160,84 +187,34 @@ def touch_range(
                 m &= swap_table[lo:hi] < 0
             return m
 
-        if batch > 1 and nt0:
+        if batch > 1 and first & PTE_NEXTTOUCH:
             run = _run_scan(
                 idx, stop, batch, lambda lo, hi: (pt.flags[lo:hi] & PTE_NEXTTOUCH) != 0
             )
             yield from nt_fault_batch(
                 kernel, thread, vma, np.arange(idx, idx + run, dtype=np.int64)
             )
-        elif batch > 1 and unpop0:
+        elif batch > 1 and _fresh(idx, idx + 1)[0]:
             run = _run_scan(idx, stop, batch, _fresh)
             idx_run = np.arange(idx, idx + run, dtype=np.int64)
-            if getattr(vma, "_file", None) is not None:
+            if anon:
+                yield from demand_zero_batch(kernel, thread, vma, idx_run)
+            else:
                 from .files import file_fault_batch
 
                 yield from file_fault_batch(kernel, thread, vma, idx_run)
-            else:
-                yield from demand_zero_batch(kernel, thread, vma, idx_run)
         else:
-            if unpop0 and getattr(vma, "_file", None) is None:
-                # Per-page (batch=1) first-touch storm: replay the whole
-                # run of demand-zero faults inline when the turbo gate
-                # holds. ``turbo`` covers the faults plus the access
-                # charges of all but the last faulted page (whose access
-                # merges with the following valid run, exactly like the
-                # per-page walk); the loop re-enters at that page.
-                run = _run_scan(idx, stop, span, _fresh)
-                turbo = demand_zero_run(kernel, thread, vma, idx, run, bpp, tag)
-                if turbo is not None:
-                    done, event = turbo
+            storm = _fault_storm(pt, swap_table, idx, first, write, anon, _fresh)
+            if storm is not None:
+                runop, test = storm
+                run = _run_scan(idx, stop, span, test)
+                event = runop(kernel, thread, vma, idx, run, bpp, tag)
+                if event is not None:
+                    # The storm covers every fault plus the access of all
+                    # but the last page, whose access merges with the
+                    # valid run after it; the walk re-enters there.
                     yield event
-                    pos = vma.addr_of_page(idx) + (done << PAGE_SHIFT)
-                    retries = 0
-                    continue
-            elif (
-                not nt0
-                and int(pt.frame[idx]) < 0
-                and swap_table is not None
-                and int(swap_table[idx]) >= 0
-            ):
-                # Swap-in storm: same run-op shape as the demand-zero
-                # turbo, but each page pays the device round-trip.
-
-                def _swapped(lo: int, hi: int) -> np.ndarray:
-                    return (
-                        (pt.frame[lo:hi] < 0)
-                        & (swap_table[lo:hi] >= 0)
-                        & ((pt.flags[lo:hi] & PTE_NEXTTOUCH) == 0)
-                    )
-
-                run = _run_scan(idx, stop, span, _swapped)
-                turbo = swap_in_run(kernel, thread, vma, idx, run, bpp, tag)
-                if turbo is not None:
-                    done, event = turbo
-                    yield event
-                    pos = vma.addr_of_page(idx) + (done << PAGE_SHIFT)
-                    retries = 0
-                    continue
-            elif (
-                write
-                and (first & (PTE_PRESENT | PTE_COW)) == (PTE_PRESENT | PTE_COW)
-                and getattr(vma, "_file", None) is None
-            ):
-                # Write storm over COW pages after a fork: break the
-                # whole run in one replay (reuse or copy per page).
-
-                def _cow(lo: int, hi: int) -> np.ndarray:
-                    m = (pt.flags[lo:hi] & (PTE_PRESENT | PTE_COW)) == (
-                        PTE_PRESENT | PTE_COW
-                    )
-                    if swap_table is not None:
-                        m &= swap_table[lo:hi] < 0
-                    return m
-
-                run = _run_scan(idx, stop, span, _cow)
-                turbo = cow_break_run(kernel, thread, vma, idx, run, bpp, tag)
-                if turbo is not None:
-                    done, event = turbo
-                    yield event
-                    pos = vma.addr_of_page(idx) + (done << PAGE_SHIFT)
+                    pos = vma.addr_of_page(idx) + ((run - 1) << PAGE_SHIFT)
                     retries = 0
                     continue
             retries += 1

@@ -192,23 +192,6 @@ class Kernel:
             and not self.ledger.traced  # Tracer attached
         )
 
-    def charge_run(self, charges) -> Event:
-        """One merged timeout event for a run of consecutive charges.
-
-        ``charges`` is an iterable of ``(tag, duration_us)``. Ledger
-        entries and the completion instant are computed exactly as the
-        per-charge path would (per-entry ledger adds, sequential float
-        additions for the deadline), so simulated results stay
-        bit-identical — only the number of engine events drops. Callers
-        must hold the :meth:`turbo_ok` gate.
-        """
-        t = self.env.now
-        add = self.ledger.add
-        for tag, duration_us in charges:
-            add(tag, duration_us)
-            t = t + duration_us
-        return self.env.timeout_at(t)
-
     # ------------------------------------------------------------ frames -----
     def alloc_on(self, node: int, count: int) -> np.ndarray:
         """Allocate ``count`` frames strictly on ``node``."""
@@ -375,7 +358,7 @@ class Kernel:
         """Stat bumps plus the cost of ``count`` shootdowns, *uncharged*.
 
         Split out so the coalesced-charge migration path can fold the
-        shootdown cost into a merged :meth:`charge_run` while keeping
+        shootdown cost into a merged ``runops.charge_stages`` while keeping
         the counters and the float expression identical.
         """
         others = process.running_cores_except(initiator_core)

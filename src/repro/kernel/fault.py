@@ -27,10 +27,11 @@ import numpy as np
 
 from ..errors import SegmentationFault
 from ..obs import tracepoints
-from ..util.units import PAGE_SHIFT, PAGE_SIZE
+from ..util.units import PAGE_SIZE
 from .core import SIGSEGV, Kernel
 from .mempolicy import PolicyKind, candidate_nodes, interleave_nodes
 from .pagetable import PTE_COW, PTE_NEXTTOUCH
+from .runops import charge_stages
 from .vma import Vma
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,7 +42,6 @@ __all__ = [
     "handle_fault",
     "nt_fault_batch",
     "demand_zero_batch",
-    "demand_zero_run",
     "deliver_signal",
 ]
 
@@ -192,194 +192,6 @@ def _demand_zero(kernel: Kernel, thread: "SimThread", vma: Vma, idx: int, write:
         ptl.release()
 
 
-def demand_zero_run(
-    kernel: Kernel,
-    thread: "SimThread",
-    vma: Vma,
-    idx: int,
-    run: int,
-    bytes_per_page: float,
-    tag: str,
-):
-    """Turbo path: replay ``run`` back-to-back per-page demand-zero
-    faults (plus the interleaved access charges) without stepping the
-    event engine per page.
-
-    Called from ``touch_range`` at ``batch=1`` on a run of unpopulated
-    anonymous pages. Under the :meth:`~repro.kernel.core.Kernel.turbo_ok`
-    gate nothing else can run between the per-page events, so every
-    simulated quantity — clock, ledger totals and counts, lock stats,
-    numastat, frame ids, page-table state — is reproduced with the
-    exact float arithmetic of the per-page walk, collapsed into ONE
-    engine event.
-
-    All-or-nothing: returns ``(pages_advanced, event)``, or ``None`` to
-    bail (caller falls back to :func:`handle_fault`). ``pages_advanced``
-    is ``run - 1`` because the last faulted page's access charge merges
-    with the valid run that follows it, exactly as the per-page walk
-    does; the caller re-enters at that page.
-    """
-    if run < 1 or not kernel.turbo_ok():
-        return None
-    process = thread.process
-    sem = process.mmap_sem
-    if sem._writer or sem._wait_writers:
-        return None
-    machine = kernel.machine
-    policy = process.policy_for(vma)
-    local = machine.node_of_core(thread.core)
-    allowed = process.allowed_mems
-    allocators = kernel.allocators
-    # --- allocation pre-check: every page must land exactly where the
-    # per-page first-fit would put it, with zero OutOfMemory spill.
-    if policy.kind is PolicyKind.INTERLEAVE:
-        if allowed is not None:
-            return None
-        targets = interleave_nodes(policy, np.arange(idx, idx + run, dtype=np.int64))
-        node_counts = np.bincount(targets, minlength=machine.num_nodes)
-        used_nodes = np.flatnonzero(node_counts)
-        for n in used_nodes:
-            if allocators[int(n)].free < int(node_counts[n]):
-                return None
-        target = -1
-        intended = -1
-    else:
-        nodes, _strict = candidate_nodes(policy, idx, local, machine.num_nodes)
-        if allowed is not None:
-            nodes = [n for n in nodes if n in allowed]
-            if not nodes:
-                return None
-        target = -1
-        for n in nodes:
-            if allocators[n].free >= 1:
-                target = n
-                break
-        if target < 0 or allocators[target].free < run:
-            return None
-        intended = nodes[0]
-        targets = None
-        used_nodes = (target,)
-    # --- lock pre-check: the per-pmd PTLs covering the run and the LRU
-    # lock of every target node must be free with no parked waiters
-    # (pre-existing waiters are possible even with an idle engine).
-    q0 = (vma.start >> PAGE_SHIFT) + idx
-    key0 = q0 >> 9
-    ptl_locks = []
-    for key in range(key0, ((q0 + run - 1) >> 9) + 1):
-        page = idx if key == key0 else (key << 9) - (vma.start >> PAGE_SHIFT)
-        lock = process.ptl(vma.start, page)
-        if lock._available <= 0 or lock._waiters:
-            return None
-        ptl_locks.append(lock)
-    for n in used_nodes:
-        lru = kernel.lru_locks[int(n)]
-        if lru._available <= 0 or lru._waiters:
-            return None
-    # --- commit: allocate, map and account everything in bulk.
-    cost = kernel.cost
-    env = kernel.env
-    led = kernel.ledger
-    writable = vma.allows(True)
-    if targets is None:
-        frames = allocators[target].alloc_seq(run)
-        kernel.numastat.record(intended, target, run, False)
-        vma.pt.map_pages(
-            slice(idx, idx + run), frames, np.full(run, target, dtype=np.int16), writable
-        )
-    else:
-        frames = np.empty(run, dtype=np.int64)
-        for n in used_nodes:
-            sel = targets == n
-            frames[sel] = allocators[int(n)].alloc_seq(int(node_counts[n]))
-            kernel.numastat.record(int(n), int(n), int(node_counts[n]), True)
-        vma.pt.map_pages(slice(idx, idx + run), frames, targets, writable)
-    kernel.stats.minor_faults += run
-    kernel.stats.pages_first_touched += run
-    # One op per replaced per-page fault, so the counters match the
-    # slow storm this run commit stands in for.
-    kernel.stats.record_run("demand_zero", run, ops=run)
-    sem.stats.acquisitions += run
-    # --- per-page float replay: the clock, per-tag ledger totals and
-    # lock hold times are sequential sums whose rounding depends on the
-    # exact order of additions, so they are replayed addition by
-    # addition rather than computed in closed form.
-    entry_us = cost.fault_entry_us
-    anon_us = cost.anon_fault_us
-    alloc_us = cost.lru_lock_hold_us / 2
-    t = env.now
-    tot_entry = led.totals["fault.entry"]
-    tot_anon = led.totals["fault.anon"]
-    tot_alloc = led.totals["fault.alloc"]
-    acc_total = led.totals[tag] if (run > 1 and bytes_per_page > 0) else 0.0
-    acc_count = 0
-    acc_cache: dict[int, float] = {}
-    lru_hold: dict[int, float] = {}
-    last = run - 1
-    pmd_group = 0
-    pmd_acq = 0
-    pmd_hold = 0.0
-    boundary = ((key0 + 1) << 9) - q0  # pages until the next pmd lock
-    for i in range(run):
-        if i == boundary:
-            stats = ptl_locks[pmd_group].stats
-            stats.acquisitions += pmd_acq
-            stats.hold_time += pmd_hold
-            pmd_group += 1
-            pmd_acq = 0
-            pmd_hold = 0.0
-            boundary += 512
-        node = target if targets is None else int(targets[i])
-        t1 = t + entry_us
-        t2 = t1 + anon_us
-        t3 = t2 + alloc_us
-        pmd_acq += 1
-        pmd_hold += t3 - t1
-        lru_hold[node] = lru_hold.get(node, 0.0) + (t3 - t2)
-        t = t3
-        if i != last:
-            acc = acc_cache.get(node)
-            if acc is None:
-                acc = acc_cache[node] = _access_cost_us_single(
-                    kernel, local, node, bytes_per_page
-                )
-            if acc > 0:
-                acc_total = acc_total + acc
-                acc_count += 1
-                t = t + acc
-        tot_entry = tot_entry + entry_us
-        tot_anon = tot_anon + anon_us
-        tot_alloc = tot_alloc + alloc_us
-    stats = ptl_locks[pmd_group].stats
-    stats.acquisitions += pmd_acq
-    stats.hold_time += pmd_hold
-    for node, hold in lru_hold.items():
-        stats = kernel.lru_locks[node].stats
-        stats.acquisitions += run if targets is None else int(node_counts[node])
-        stats.hold_time += hold
-    led.totals["fault.entry"] = tot_entry
-    led.counts["fault.entry"] += run
-    led.totals["fault.anon"] = tot_anon
-    led.counts["fault.anon"] += run
-    led.totals["fault.alloc"] = tot_alloc
-    led.counts["fault.alloc"] += run
-    if acc_count:
-        led.totals[tag] = acc_total
-        led.counts[tag] += acc_count
-    return run - 1, env.timeout_at(t)
-
-
-def _access_cost_us_single(
-    kernel: Kernel, thread_node: int, node: int, bytes_per_page: float
-) -> float:
-    """Single-page access cost, via the same arithmetic as the valid-run
-    charge in ``touch_range`` (one page on one node)."""
-    from .access import _access_cost_us
-
-    return _access_cost_us(
-        kernel, thread_node, np.full(1, node, dtype=np.int16), bytes_per_page
-    )
-
-
 def demand_zero_batch(kernel: Kernel, thread: "SimThread", vma: Vma, idxs: np.ndarray):
     """First-touch a batch of unpopulated pages of one VMA.
 
@@ -440,20 +252,14 @@ def demand_zero_batch(kernel: Kernel, thread: "SimThread", vma: Vma, idxs: np.nd
     kernel.stats.pages_first_touched += k
     kernel.stats.record_run("demand_zero", k)
     try:
-        if kernel.turbo_ok():
-            # Coalesced: the three per-batch charges in one engine event
-            # (identical ledger entries and completion instant).
-            yield kernel.charge_run(
-                (
-                    ("fault.entry", cost.fault_entry_us * k),
-                    ("fault.anon", cost.anon_fault_us * k),
-                    ("fault.alloc", cost.lru_lock_hold_us / 2 * k),
-                )
-            )
-        else:
-            yield kernel.charge("fault.entry", cost.fault_entry_us * k)
-            yield kernel.charge("fault.anon", cost.anon_fault_us * k)
-            yield kernel.charge("fault.alloc", cost.lru_lock_hold_us / 2 * k)
+        yield from charge_stages(
+            kernel,
+            (
+                ("fault.entry", cost.fault_entry_us * k),
+                ("fault.anon", cost.anon_fault_us * k),
+                ("fault.alloc", cost.lru_lock_hold_us / 2 * k),
+            ),
+        )
     finally:
         ptl.release()
     if kernel.debug_checks:
@@ -545,11 +351,12 @@ def nt_fault_batch(
         control_us = k * cost.nt_fault_control_us + entries * cost.fault_entry_us
         if move_idxs.size and kernel.turbo_ok():
             # Coalesced: control + alloc charges in one engine event.
-            yield kernel.charge_run(
+            yield from charge_stages(
+                kernel,
                 (
                     ("nt.control", control_us),
                     ("nt.alloc", cost.nt_pcp_alloc_us * move_idxs.size),
-                )
+                ),
             )
         else:
             t0 = kernel.env.now

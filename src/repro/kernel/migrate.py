@@ -29,7 +29,7 @@ import numpy as np
 from ..obs import tracepoints
 from ..util.units import PAGE_SIZE
 from .core import Kernel
-from .runops import migrate_run
+from .runops import charge_stages, migrate_run
 from .vma import Vma
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,14 +98,15 @@ def migrate_vma_pages(
                 # Both charges land on the same ledger tag with no
                 # observer between them: book them separately but
                 # sleep once (identical float fold, one engine event).
-                yield kernel.charge_run(
+                yield from charge_stages(
+                    kernel,
                     (
                         (f"{tag}.control", control_us * k),
                         (
                             f"{tag}.control",
                             kernel.tlb_shootdown_cost(process, thread.core, k),
                         ),
-                    )
+                    ),
                 )
             else:
                 yield kernel.charge(f"{tag}.control", control_us * k)

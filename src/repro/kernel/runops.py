@@ -1,26 +1,31 @@
 """Run-granular kernel operations — contiguous page runs as the
 native unit of work.
 
-The wall-clock fast paths introduced for demand-zero faults
-(:func:`~repro.kernel.fault.demand_zero_run`) generalize: whenever the
-:meth:`~repro.kernel.core.Kernel.turbo_ok` gate holds, a run of
-back-to-back per-page kernel operations can be replayed inline —
+Whenever the :meth:`~repro.kernel.core.Kernel.turbo_ok` gate holds, a
+run of back-to-back per-page kernel operations can be replayed inline —
 page-table commits in bulk NumPy operations, clock and ledger advanced
 with the exact float arithmetic of the per-page walk, lock statistics
 booked without round-tripping the event engine — and completed with a
 single ``timeout_at`` event.
 
-This module hosts the run-ops shared by the hot paths:
+This module is the kernel's one home for those run-ops:
 
+* the fault storms ``touch_range`` dispatches at ``batch=1`` —
+  :func:`demand_zero_run` (first touch), :func:`cow_break_run`
+  (copy-on-write breaks after ``fork``) and :func:`swap_in_run`
+  (swap-in faults). They share one gate and one booking path
+  (:func:`_replay_storm`): the clock, the per-tag ledger totals and
+  the PTL and LRU hold times are exact left-to-right folds
+  (``np.add.accumulate``) seeded from their running values, typed as
+  the per-page walk types them. Only a channel transfer (swap-in, a
+  remote COW copy) still steps page by page, because its rounding
+  depends on the clock;
 * :func:`migrate_run` — the synchronous migration engine
   (``move_pages`` / ``migrate_pages`` / ``mbind(move=True)``) replayed
   chunk by chunk without per-chunk engine events;
-* :func:`cow_break_run` — a storm of copy-on-write break faults after
-  ``fork`` (the per-page ``batch=1`` touch path);
-* :func:`swap_in_run` — a storm of swap-in faults, with slot frees and
-  frame allocation batched via :meth:`FrameAllocator.alloc_seq`;
 * :func:`charge_stages` — the generic "N consecutive charges, one
-  event" fold used by ``fork``/``mprotect``/``madvise`` tails;
+  event" fold used by fault batches, migration chunks and the
+  ``fork``/``mprotect``/``madvise`` tails;
 * :func:`replay_transfer` — an exact inline replay of an uncontended
   :class:`~repro.sim.resources.BandwidthResource` transfer (same float
   wake arithmetic, same byte counters), so run-ops can fold channel
@@ -28,9 +33,10 @@ This module hosts the run-ops shared by the hot paths:
 
 Every run-op is all-or-nothing: it either replays the whole run with
 bit-identical simulated state, or returns ``None`` and the caller
-falls back to the per-page reference path.  ``REPRO_SLOW_PATH=1`` /
-``kernel.force_slow_path`` disable them wholesale (see
-``docs/performance.md`` and ``tests/test_fastpath_equivalence.py``).
+falls back to the per-page reference path in ``fault.py``, ``fork.py``
+or ``swap.py``. ``REPRO_SLOW_PATH=1`` / ``kernel.force_slow_path``
+disable them wholesale (see ``docs/performance.md`` and
+``tests/test_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import numpy as np
 
 from ..util.units import PAGE_SHIFT, PAGE_SIZE
 from .core import Kernel
-from .fault import _access_cost_us_single
+from .mempolicy import PolicyKind, candidate_nodes, interleave_nodes
 from .pagetable import PTE_COW, PTE_PRESENT, PTE_WRITE
 from .vma import Vma
 
@@ -54,6 +60,7 @@ __all__ = [
     "charge_stages",
     "replay_transfer",
     "migrate_run",
+    "demand_zero_run",
     "cow_break_run",
     "swap_in_run",
 ]
@@ -282,7 +289,260 @@ def migrate_run(
     return moved, env.timeout_at(t)
 
 
-# -------------------------------------------------------------- cow break ---
+# ----------------------------------------------------------- fault storms ---
+#: Pages booked per window: bounds the replay's scratch arrays (a 1 GiB
+#: first touch is one 262144-page run) without changing any sum.
+_WINDOW = 8192
+
+
+def _access_cost_us_single(
+    kernel: Kernel, thread_node: int, node: int, bytes_per_page: float
+) -> float:
+    """Single-page access cost, via the same arithmetic as the valid-run
+    charge in ``touch_range`` (one page on one node)."""
+    from .access import _access_cost_us
+
+    return _access_cost_us(
+        kernel, thread_node, np.full(1, node, dtype=np.int16), bytes_per_page
+    )
+
+
+def _fold(seed, terms, numpy_typed: bool):
+    """``seed + terms[0] + terms[1] + ...``, added strictly left to right.
+
+    The per-page walk adds each term into a running total, and float
+    addition is order-sensitive, so the fold is seeded from that total
+    instead of summing locally and adding once. The result is an
+    ``np.float64`` exactly when the walk's would be: when the seed is
+    one, or when any term was (``numpy_typed``).
+    """
+    buf = np.empty(len(terms) + 1)
+    buf[0] = seed
+    buf[1:] = terms
+    total = np.add.accumulate(buf, out=buf)[-1]
+    return total if numpy_typed or isinstance(seed, np.floating) else float(total)
+
+
+def _hold(stats, held, numpy_typed: bool) -> None:
+    """Book one uncontended acquisition per term of ``held``."""
+    stats.acquisitions += len(held)
+    stats.hold_time = _fold(stats.hold_time, held, numpy_typed)
+
+
+def _storm_ptls(kernel: Kernel, thread: "SimThread", vma: Vma, idx: int, run: int):
+    """The gate all fault storms share: the split PTLs covering the run,
+    or ``None`` to fall back to the per-page walk.
+
+    Besides :meth:`~repro.kernel.core.Kernel.turbo_ok`, a storm declines
+    when ``kernel.access_profiler`` is attached (the walk records every
+    page's access, the storm none) and when ``mmap_sem`` has a writer,
+    held or queued.
+    """
+    if run < 1 or not kernel.turbo_ok() or kernel.access_profiler is not None:
+        return None
+    sem = thread.process.mmap_sem
+    if sem._writer or sem._wait_writers:
+        return None
+    return _pmd_locks(thread.process, vma, idx, run)
+
+
+def _clock(t, inc: np.ndarray, transfer, xfer):
+    """The walk's clock after each stage of a window of pages.
+
+    ``inc`` is ``(pages, 4)``: fault entry, the two PTL-held stages and
+    the access charge (0 where none). Pages flagged in ``xfer`` replace
+    stage 2 with a ``transfer = (channel, nbytes, max_rate)`` replay,
+    whose rounding depends on the clock, so such a window steps page by
+    page; otherwise the clock is one ``np.add.accumulate``. Returns the
+    stage times and the end clock, typed like the walk's: it turns
+    ``np.float64`` at the first access charge.
+    """
+    charged = inc[:, 3] > 0
+    if transfer is None:
+        buf = np.empty(inc.size + 1)
+        buf[0] = t
+        buf[1:] = inc.ravel()
+        times = np.add.accumulate(buf, out=buf)[1:].reshape(inc.shape)
+        end = times[-1, 3]
+        typed = isinstance(t, np.floating) or bool(charged.any())
+        return times, end if typed else float(end)
+    channel, nbytes, max_rate = transfer
+    times = np.empty(inc.shape)
+    acc = inc[:, 3]
+    for j, (entry, stage1, stage2) in enumerate(inc[:, :3].tolist()):
+        t = t + entry
+        times[j, 0] = t
+        t = t + stage1
+        times[j, 1] = t
+        t = replay_transfer(channel, nbytes, max_rate, t) if xfer[j] else t + stage2
+        times[j, 2] = t
+        if charged[j]:
+            t = t + acc[j]
+        times[j, 3] = t
+    return times, t
+
+
+def _replay_storm(
+    kernel: Kernel,
+    thread: "SimThread",
+    vma: Vma,
+    idx: int,
+    ptls: list,
+    kind: str,
+    nodes: np.ndarray,
+    bytes_per_page: float,
+    tag: str,
+    *,
+    stage1: float,
+    stage2,
+    ledger: tuple,
+    lru: bool = False,
+    transfer=None,
+    xfer: Optional[np.ndarray] = None,
+):
+    """Book an already-committed fault storm; one completion event.
+
+    Page ``j`` of the run replays the per-page walk: fault entry
+    (``fault.entry``), its split PTL taken, ``stage1`` µs, ``stage2`` µs
+    (a scalar or one value per page; pages in ``xfer`` replay
+    ``transfer`` instead), the PTL released, then — for every page but
+    the last — the access charge of one page on ``nodes[j]`` under
+    ``tag``. With ``lru`` the LRU lock of ``nodes[j]`` is held across
+    stage 2. ``ledger`` books the two stages as ``(tag, us, mask)``:
+    ``us`` for each page ``mask`` selects (every page when ``None``),
+    or with ``us=None`` each page's stage-2 clock span.
+
+    The clock, every ledger total and every lock hold time is an exact
+    fold seeded from its running value; counts and acquisitions are
+    bumped by the page count. The caller resumes at the last page,
+    whose access merges with the valid run after it.
+    """
+    run = len(nodes)
+    led = kernel.ledger
+    thread_node = kernel.machine.node_of_core(thread.core)
+    acc_of = np.zeros(kernel.machine.num_nodes)
+    for node in np.unique(nodes[:-1]):
+        acc_of[node] = _access_cost_us_single(kernel, thread_node, int(node), bytes_per_page)
+    entry_us = kernel.cost.fault_entry_us
+    q0 = (vma.start >> PAGE_SHIFT) + idx
+    key0 = q0 >> 9
+
+    def book(name, terms, numpy_typed):
+        if len(terms):
+            led.totals[name] = _fold(led.totals.get(name, 0.0), terms, numpy_typed)
+            led.counts[name] += len(terms)
+
+    t = kernel.env.now
+    for lo in range(0, run, _WINDOW):
+        hi = min(run, lo + _WINDOW)
+        n = hi - lo
+        inc = np.empty((n, 4))
+        inc[:, 0] = entry_us
+        inc[:, 1] = stage1
+        inc[:, 2] = stage2 if np.isscalar(stage2) else stage2[lo:hi]
+        inc[:, 3] = acc_of[nodes[lo:hi]]
+        if hi == run:
+            inc[-1, 3] = 0.0
+        charged = inc[:, 3] > 0
+        # Pages from np_from on start on an np.float64 clock, so their
+        # hold times (and stage-2 spans) are np.float64 in the walk too.
+        if isinstance(t, np.floating):
+            np_from = 0
+        else:
+            np_from = int(np.argmax(charged)) + 1 if charged.any() else n
+        times, t = _clock(t, inc, transfer, None if xfer is None else xfer[lo:hi])
+        held = times[:, 2] - times[:, 0]
+        for key in range((q0 + lo) >> 9, ((q0 + hi - 1) >> 9) + 1):
+            a = max(lo, (key << 9) - q0) - lo
+            b = min(hi, ((key + 1) << 9) - q0) - lo
+            _hold(ptls[key - key0].stats, held[a:b], b - 1 >= np_from)
+        span = times[:, 2] - times[:, 1]
+        if lru:
+            window_nodes = nodes[lo:hi]
+            for node in np.unique(window_nodes):
+                sel = np.flatnonzero(window_nodes == node)
+                _hold(kernel.lru_locks[int(node)].stats, span[sel], sel[-1] >= np_from)
+        book("fault.entry", inc[:, 0], False)
+        for name, us, mask in ledger:
+            sel = np.arange(n) if mask is None else np.flatnonzero(mask[lo:hi])
+            if us is None:
+                book(name, span[sel], sel.size > 0 and sel[-1] >= np_from)
+            else:
+                book(name, np.full(sel.size, us), False)
+        book(tag, inc[charged, 3], True)
+    thread.process.mmap_sem.stats.acquisitions += run
+    kernel.stats.record_run(kind, run, ops=run)
+    return kernel.env.timeout_at(t)
+
+
+def demand_zero_run(
+    kernel: Kernel,
+    thread: "SimThread",
+    vma: Vma,
+    idx: int,
+    run: int,
+    bytes_per_page: float,
+    tag: str,
+):
+    """Replay ``run`` back-to-back demand-zero (first-touch) faults.
+
+    The ``batch=1`` touch of fresh anonymous pages: every page must land
+    exactly where the per-page first fit would put it, with no
+    OutOfMemory spill, and the LRU lock of every target node must be
+    free. Frames come from :meth:`FrameAllocator.alloc_seq` and the
+    page table is committed in one ``map_pages``; each page then pays
+    ``fault.anon`` and, under its node's LRU lock, ``fault.alloc``.
+    Returns the completion event, or ``None`` to fall back.
+    """
+    ptls = _storm_ptls(kernel, thread, vma, idx, run)
+    if ptls is None:
+        return None
+    process = thread.process
+    machine = kernel.machine
+    policy = process.policy_for(vma)
+    allowed = process.allowed_mems
+    allocators = kernel.allocators
+    interleaved = policy.kind is PolicyKind.INTERLEAVE
+    if interleaved:
+        if allowed is not None:
+            return None
+        nodes = interleave_nodes(policy, np.arange(idx, idx + run, dtype=np.int64))
+        counts = np.bincount(nodes, minlength=machine.num_nodes)
+        targets = [int(n) for n in np.flatnonzero(counts)]
+    else:
+        local = machine.node_of_core(thread.core)
+        candidates, _strict = candidate_nodes(policy, idx, local, machine.num_nodes)
+        if allowed is not None:
+            candidates = [n for n in candidates if n in allowed]
+        target = next((n for n in candidates if allocators[n].free >= 1), None)
+        if target is None:
+            return None
+        nodes = np.full(run, target, dtype=np.int16)
+        counts = {target: run}
+        targets = [target]
+    for n in targets:
+        lru = kernel.lru_locks[n]
+        if allocators[n].free < counts[n] or lru._available <= 0 or lru._waiters:
+            return None
+    frames = np.empty(run, dtype=np.int64)
+    for n in targets:
+        count = int(counts[n])
+        frames[nodes == n] = allocators[n].alloc_seq(count)
+        kernel.numastat.record(n if interleaved else candidates[0], n, count, interleaved)
+    vma.pt.map_pages(slice(idx, idx + run), frames, nodes, vma.allows(True))
+    kernel.stats.minor_faults += run
+    kernel.stats.pages_first_touched += run
+    cost = kernel.cost
+    alloc_us = cost.lru_lock_hold_us / 2
+    return _replay_storm(
+        kernel, thread, vma, idx, ptls, "demand_zero", nodes, bytes_per_page, tag,
+        stage1=cost.anon_fault_us,
+        stage2=alloc_us,
+        ledger=(("fault.anon", cost.anon_fault_us, None), ("fault.alloc", alloc_us, None)),
+        lru=True,
+    )
+
+
 def cow_break_run(
     kernel: Kernel,
     thread: "SimThread",
@@ -292,143 +552,66 @@ def cow_break_run(
     bytes_per_page: float,
     tag: str,
 ):
-    """Replay ``run`` back-to-back copy-on-write break faults inline.
+    """Replay ``run`` back-to-back copy-on-write break faults.
 
-    The ``batch=1`` write storm after a ``fork``: each page pays fault
-    entry, takes its split PTL, either re-arms the write bit (sole
-    owner) or copies to the toucher's node (shared frame), and — for
-    every page but the last — the interleaved access charge.  Returns
-    ``(run - 1, event)`` like :func:`demand_zero_run` (the last page's
-    access merges with the following valid run), or ``None``.
+    The ``batch=1`` write storm after a ``fork``: a sole owner re-arms
+    the write bit (``cow.reuse``); a shared frame is copied to the
+    toucher's node (``cow.control``, then the copy — local at the page
+    copy rate, remote through the process migration channel). The
+    copies are allocated, mapped and released in bulk. Returns the
+    completion event, or ``None`` to fall back.
     """
-    if run < 1 or not kernel.turbo_ok():
-        return None
-    if kernel.access_profiler is not None:
-        return None
-    process = thread.process
-    sem = process.mmap_sem
-    if sem._writer or sem._wait_writers:
+    ptls = _storm_ptls(kernel, thread, vma, idx, run)
+    if ptls is None:
         return None
     pt = vma.pt
-    frames = pt.frame[idx : idx + run]
-    if np.unique(frames).size != run:
+    span = slice(idx, idx + run)
+    if np.unique(pt.frame[span]).size != run:
         return None  # aliased frames: per-page refcounts would drift
-    shared = kernel.frames_shared_mask(frames)
+    shared = kernel.frames_shared_mask(pt.frame[span])
     n_shared = int(np.count_nonzero(shared))
     dest = kernel.machine.node_of_core(thread.core)
     if n_shared and kernel.allocators[dest].free < n_shared:
         return None
-    channel = None
-    if n_shared and bool(np.any(shared & (pt.node[idx : idx + run] != dest))):
-        # At least one remote copy: the per-page path would route it
-        # through the process migration channel (creating it lazily).
-        channel = kernel.migration_channel(process)
+    remote = shared & (pt.node[span] != dest)
+    transfer = None
+    if remote.any():
+        channel = kernel.migration_channel(thread.process)
         if channel._active:
             return None
-    ptl_locks = _pmd_locks(process, vma, idx, run)
-    if ptl_locks is None:
-        return None
-    # --- per-page float replay -----------------------------------------
-    cost = kernel.cost
-    env = kernel.env
-    led = kernel.ledger
-    entry_us = cost.fault_entry_us
-    ctrl_us = cost.nt_fault_control_us
-    copy_bw = cost.kernel_page_copy_bw
-    local_copy_us = float(PAGE_SIZE) / copy_bw
-    t = env.now
-    tot_entry = led.totals["fault.entry"]
-    tot_reuse = led.totals["cow.reuse"] if n_shared < run else 0.0
-    tot_control = led.totals["cow.control"] if n_shared else 0.0
-    acc_total = led.totals[tag] if (run > 1 and bytes_per_page > 0) else 0.0
-    acc_count = 0
-    acc_cache: dict[int, float] = {}
-    last = run - 1
-    pmd_group = 0
-    pmd_acq = 0
-    # Seed the hold accumulator from the lock's running total: the slow
-    # path folds each page's hold into stats.hold_time sequentially, and
-    # float addition is order-sensitive, so the replay must add into the
-    # same running value rather than sum locally and add once.
-    pmd_hold = ptl_locks[0].stats.hold_time
-    q0 = (vma.start >> PAGE_SHIFT) + idx
-    boundary = (((q0 >> 9) + 1) << 9) - q0
-    for j in range(run):
-        if j == boundary:
-            stats = ptl_locks[pmd_group].stats
-            stats.acquisitions += pmd_acq
-            stats.hold_time = pmd_hold
-            pmd_group += 1
-            pmd_acq = 0
-            pmd_hold = ptl_locks[pmd_group].stats.hold_time
-            boundary += 512
-        i = idx + j
-        flags = int(pt.flags[i])
-        t = t + entry_us
-        tot_entry = tot_entry + entry_us
-        since = t  # PTL taken after the entry charge
-        pmd_acq += 1
-        if not shared[j]:
-            # Sole owner: re-arm the write bit, charge cow.reuse.
-            pt.flags[i] = np.uint16((flags & ~PTE_COW) | PTE_PRESENT | PTE_WRITE)
-            tot_reuse = tot_reuse + ctrl_us
-            t = t + ctrl_us
-            node_after = int(pt.node[i])
-        else:
-            frame = int(pt.frame[i])
-            src_node = int(pt.node[i])
-            new_frame = int(kernel.alloc_on(dest, 1)[0])
-            if kernel.track_contents:
-                data = kernel.page_data.get(frame)
-                if data is not None:
-                    kernel.page_data[new_frame] = data.copy()
-            pt.frame[i] = new_frame
-            pt.node[i] = dest
-            pt.flags[i] = np.uint16((flags & ~PTE_COW) | PTE_PRESENT | PTE_WRITE)
-            kernel.release_frames(np.asarray([frame]))
-            tot_control = tot_control + ctrl_us
-            t = t + ctrl_us
-            if src_node == dest:
-                t = t + local_copy_us
-            else:
-                t = replay_transfer(channel, float(PAGE_SIZE), copy_bw, t)
-            node_after = dest
-        pmd_hold = pmd_hold + (t - since)
-        if j != last and bytes_per_page > 0:
-            acc = acc_cache.get(node_after)
-            if acc is None:
-                acc = acc_cache[node_after] = _access_cost_us_single(
-                    kernel, dest, node_after, bytes_per_page
-                )
-            if acc > 0:
-                acc_total = acc_total + acc
-                acc_count += 1
-                t = t + acc
-    stats = ptl_locks[pmd_group].stats
-    stats.acquisitions += pmd_acq
-    stats.hold_time = pmd_hold
-    sem.stats.acquisitions += run
+        transfer = (channel, float(PAGE_SIZE), kernel.cost.kernel_page_copy_bw)
+    # Shared frames keep a reference elsewhere, so releasing them frees
+    # nothing: allocating every copy first picks the per-page frame ids.
+    copied = np.flatnonzero(shared) + idx
+    old = pt.frame[copied]
+    new = kernel.allocators[dest].alloc_seq(n_shared)
+    if kernel.track_contents:
+        for frame, new_frame in zip(old.tolist(), new.tolist()):
+            data = kernel.page_data.get(frame)
+            if data is not None:
+                kernel.page_data[new_frame] = data.copy()
+    pt.frame[copied] = new
+    pt.node[copied] = dest
+    pt.flags[span] = (pt.flags[span] & ~np.uint16(PTE_COW)) | np.uint16(PTE_PRESENT | PTE_WRITE)
+    kernel.release_frames(old)
     kernel.stats.cow_faults += run
     kernel.stats.cow_reused += run - n_shared
     kernel.stats.cow_copied += n_shared
-    kernel.stats.record_run("cow_break", run, ops=run)
-    led.totals["fault.entry"] = tot_entry
-    led.counts["fault.entry"] += run
-    if n_shared < run:
-        led.totals["cow.reuse"] = tot_reuse
-        led.counts["cow.reuse"] += run - n_shared
-    if n_shared:
-        led.totals["cow.control"] = tot_control
-        led.counts["cow.control"] += n_shared
-        led.totals["cow.copy"] += 0.0  # per-page adds of 0.0
-        led.counts["cow.copy"] += n_shared
-    if acc_count:
-        led.totals[tag] = acc_total
-        led.counts[tag] += acc_count
-    return run - 1, env.timeout_at(t)
+    ctrl_us = kernel.cost.nt_fault_control_us
+    return _replay_storm(
+        kernel, thread, vma, idx, ptls, "cow_break", pt.node[span].copy(), bytes_per_page, tag,
+        stage1=ctrl_us,
+        stage2=np.where(shared, float(PAGE_SIZE) / kernel.cost.kernel_page_copy_bw, 0.0),
+        ledger=(
+            ("cow.reuse", ctrl_us, ~shared),
+            ("cow.control", ctrl_us, shared),
+            ("cow.copy", 0.0, shared),
+        ),
+        transfer=transfer,
+        xfer=remote,
+    )
 
 
-# ---------------------------------------------------------------- swap in ---
 def swap_in_run(
     kernel: Kernel,
     thread: "SimThread",
@@ -438,35 +621,21 @@ def swap_in_run(
     bytes_per_page: float,
     tag: str,
 ):
-    """Replay ``run`` back-to-back swap-in faults inline.
+    """Replay ``run`` back-to-back swap-in faults onto the toucher's node.
 
     Frames come in one :meth:`FrameAllocator.alloc_seq` batch, swap
-    slots are freed in bulk, and the page table is committed with a
-    single ``map_pages`` — while the clock replays each fault's entry
-    charge, device transfer and PTL hold in per-page float order.
-    Returns ``(run - 1, event)`` or ``None``.
+    slots are freed in bulk and the page table is committed with a
+    single ``map_pages``; each page then pays ``swap.in.fault`` and its
+    device round-trip (``swap.in``) under the PTL. Returns the
+    completion event, or ``None`` to fall back.
     """
-    if run < 1 or not kernel.turbo_ok():
-        return None
-    if kernel.access_profiler is not None:
-        return None
+    ptls = _storm_ptls(kernel, thread, vma, idx, run)
     device = getattr(kernel, "swap", None)
-    if device is None:
-        return None
-    process = thread.process
-    sem = process.mmap_sem
-    if sem._writer or sem._wait_writers:
-        return None
-    channel = device.channel
-    if channel._active:
+    if ptls is None or device is None or device.channel._active:
         return None
     dest = kernel.machine.node_of_core(thread.core)
     if kernel.allocators[dest].free < run:
         return None
-    ptl_locks = _pmd_locks(process, vma, idx, run)
-    if ptl_locks is None:
-        return None
-    # --- bulk commit ----------------------------------------------------
     pt = vma.pt
     table = pt._swap_slots
     span = slice(idx, idx + run)
@@ -477,70 +646,19 @@ def swap_in_run(
             data = device.slot_data.get(int(slot))
             if data is not None:
                 kernel.page_data[int(frame)] = data
-    pt.map_pages(span, frames, np.full(run, dest, dtype=np.int16), vma.allows(True))
+    nodes = np.full(run, dest, dtype=np.int16)
+    pt.map_pages(span, frames, nodes, vma.allows(True))
     table[span] = -1
     device.free_slots(slots)
     device.pages_in += run
     kernel.stats.pages_swapped_in += run
-    kernel.stats.record_run("swap_in", run, ops=run)
-    sem.stats.acquisitions += run
-    # --- per-page float replay ------------------------------------------
-    cost = kernel.cost
-    env = kernel.env
-    led = kernel.ledger
-    entry_us = cost.fault_entry_us
-    io_bytes = float(PAGE_SIZE) + device.op_latency_us * channel.capacity
-    t = env.now
-    tot_entry = led.totals["fault.entry"]
-    tot_fault = led.totals["swap.in.fault"]
-    tot_io = led.totals["swap.in"]
-    acc_total = led.totals[tag] if (run > 1 and bytes_per_page > 0) else 0.0
-    acc_count = 0
-    acc = _access_cost_us_single(kernel, dest, dest, bytes_per_page) if (
-        run > 1 and bytes_per_page > 0
-    ) else 0.0
-    last = run - 1
-    pmd_group = 0
-    pmd_acq = 0
-    # Seeded from the lock's running total: the slow path folds each
-    # page's hold into stats.hold_time sequentially, and float addition
-    # is order-sensitive (see cow_break_run).
-    pmd_hold = ptl_locks[0].stats.hold_time
-    q0 = (vma.start >> PAGE_SHIFT) + idx
-    boundary = (((q0 >> 9) + 1) << 9) - q0
-    for j in range(run):
-        if j == boundary:
-            stats = ptl_locks[pmd_group].stats
-            stats.acquisitions += pmd_acq
-            stats.hold_time = pmd_hold
-            pmd_group += 1
-            pmd_acq = 0
-            pmd_hold = ptl_locks[pmd_group].stats.hold_time
-            boundary += 512
-        t = t + entry_us  # fault.entry, before mmap_sem/PTL
-        tot_entry = tot_entry + entry_us
-        since = t
-        pmd_acq += 1
-        tot_fault = tot_fault + entry_us  # swap.in.fault (k == 1)
-        t = t + entry_us
-        t0 = t
-        t = replay_transfer(channel, io_bytes, None, t)
-        tot_io = tot_io + (t - t0)
-        pmd_hold = pmd_hold + (t - since)
-        if j != last and acc > 0:
-            acc_total = acc_total + acc
-            acc_count += 1
-            t = t + acc
-    stats = ptl_locks[pmd_group].stats
-    stats.acquisitions += pmd_acq
-    stats.hold_time = pmd_hold
-    led.totals["fault.entry"] = tot_entry
-    led.counts["fault.entry"] += run
-    led.totals["swap.in.fault"] = tot_fault
-    led.counts["swap.in.fault"] += run
-    led.totals["swap.in"] = tot_io
-    led.counts["swap.in"] += run
-    if acc_count:
-        led.totals[tag] = acc_total
-        led.counts[tag] += acc_count
-    return run - 1, env.timeout_at(t)
+    channel = device.channel
+    entry_us = kernel.cost.fault_entry_us
+    return _replay_storm(
+        kernel, thread, vma, idx, ptls, "swap_in", nodes, bytes_per_page, tag,
+        stage1=entry_us,
+        stage2=0.0,
+        ledger=(("swap.in.fault", entry_us, None), ("swap.in", None, None)),
+        transfer=(channel, float(PAGE_SIZE) + device.op_latency_us * channel.capacity, None),
+        xfer=np.ones(run, dtype=bool),
+    )

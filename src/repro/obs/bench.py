@@ -159,15 +159,25 @@ def phase_latency_quantiles(npages: int = _LARGE) -> dict[str, dict]:
     return out
 
 
-def compare(metrics: dict, baseline: dict, tolerance: float) -> dict:
-    """Per-metric verdicts against ``baseline`` (higher is better).
+def compare(
+    metrics: dict,
+    baseline: dict,
+    tolerance: float,
+    *,
+    lower_is_better: bool = False,
+    pct_digits: int = 3,
+) -> dict:
+    """Per-metric verdicts against ``baseline``.
 
-    Statuses: ``ok`` (within tolerance), ``regression`` (below
-    ``baseline * (1 - tolerance)``), ``improvement`` (above
-    ``baseline * (1 + tolerance)``), ``new`` (no baseline entry).
-    Baseline-only metrics appear as ``missing`` so a silently dropped
-    benchmark still fails the gate.
+    Higher is better by default (simulated throughputs); pass
+    ``lower_is_better`` for costs such as host seconds. Statuses: ``ok``
+    (within tolerance), ``regression`` (more than ``tolerance`` worse
+    than ``baseline``), ``improvement`` (more than ``tolerance``
+    better), ``new`` (no baseline entry). Baseline-only metrics appear
+    as ``missing`` so a silently dropped benchmark still fails the
+    gate. ``delta_pct`` is rounded to ``pct_digits`` decimals.
     """
+    sign = -1.0 if lower_is_better else 1.0
     verdicts: dict[str, dict] = {}
     for name in sorted(set(metrics) | set(baseline)):
         if name not in baseline:
@@ -178,16 +188,16 @@ def compare(metrics: dict, baseline: dict, tolerance: float) -> dict:
             continue
         value, base = metrics[name], baseline[name]
         delta = (value - base) / base if base else 0.0
-        if delta < -tolerance:
+        if sign * delta < -tolerance:
             status = "regression"
-        elif delta > tolerance:
+        elif sign * delta > tolerance:
             status = "improvement"
         else:
             status = "ok"
         verdicts[name] = {
             "value": value,
             "baseline": base,
-            "delta_pct": round(100.0 * delta, 3),
+            "delta_pct": round(100.0 * delta, pct_digits),
             "status": status,
         }
     return verdicts

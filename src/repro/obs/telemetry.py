@@ -15,11 +15,11 @@ turbo commits increment **run-granularly**, so
 
 Counting contract (the twin-site map):
 
-* a turbo run commit counts exactly what the per-page storm it
-  replaces would have counted: ``demand_zero_run`` /
-  ``cow_break_run`` / ``swap_in_run`` over ``run`` pages bump
-  ``run_ops`` by ``run`` (one per replaced per-page fault) and
-  ``run_pages`` by ``run``;
+* a fault-storm run commit counts exactly what the per-page storm it
+  replaces would have counted: the ``runops.py`` storms
+  (``demand_zero_run`` / ``cow_break_run`` / ``swap_in_run``) book
+  through one path that bumps ``run_ops`` by ``run`` (one per replaced
+  per-page fault) and ``run_pages`` by ``run``;
 * batch entries shared by both paths (``demand_zero_batch``,
   ``nt_fault_batch``, ``swap_in_batch`` with ``k > 1``,
   ``sys_swap_out`` per segment) bump once per call;

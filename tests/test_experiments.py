@@ -237,6 +237,29 @@ def test_cli_rejects_unknown_experiment():
         cli_main(["fig99"])
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tenants", "0"),
+        ("--tenants", "-2"),
+        ("--requests", "0"),
+        ("--requests", "many"),
+        ("--slo-us", "-5"),
+        ("--slo-us", "0"),
+        ("--slo-us", "nan"),
+    ],
+)
+def test_cli_serve_rejects_non_positive_flags(flag, value, capsys):
+    """Bad serve sizes are a one-line argparse error (exit 2), never a
+    traceback from inside the server."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["serve", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+
+
 def test_whatif_machines_structure():
     from repro.experiments import whatif_machines as wm
 

@@ -335,6 +335,23 @@ def _assert_script_equivalent(script, bytes_per_page: float = 0.0):
     return fast, slow
 
 
+#: The fault storms ``touch_range`` dispatches to run-ops at batch=1.
+STORMS = ("demand_zero", "cow_break", "swap_in")
+
+
+def _storm_setup(t, storm: str, npages: int):
+    """Map ``npages`` and leave them in the state ``storm`` replays:
+    fresh (demand_zero), forked (cow_break) or swapped out (swap_in)."""
+    addr = yield from t.mmap(npages * PAGE_SIZE, PROT_RW)
+    if storm != "demand_zero":
+        yield from t.touch(addr, npages * PAGE_SIZE, bytes_per_page=0.0)
+    if storm == "cow_break":
+        yield from t.fork()
+    elif storm == "swap_in":
+        yield from t.swap_out(addr, npages * PAGE_SIZE)
+    return addr
+
+
 @pytest.mark.parametrize("multi_src", [False, True])
 def test_migrate_run_matches_slow_path(multi_src):
     """A 1500-page move_pages call: single-source (bind) and
@@ -431,6 +448,88 @@ def test_swap_in_run_matches_slow_path(bytes_per_page):
     _assert_script_equivalent(script, bytes_per_page=bytes_per_page)
 
 
+@pytest.mark.parametrize("bytes_per_page", [0.0, 64.0])
+def test_demand_zero_split_touches_fold_running_holds(bytes_per_page):
+    """Five batch=1 first-touch runs share pmds: each run must fold its
+    PTL and LRU hold times into the running totals the runs before it
+    left, in page order, exactly as the per-page walk does."""
+
+    def script(ex):
+        proc = ex.procs["p0"]
+
+        def body(t):
+            addr = yield from t.mmap(1500 * PAGE_SIZE, PROT_RW)
+            for lo, hi in ((0, 3), (3, 7), (7, 300), (300, 301), (301, 1500)):
+                yield from t.touch(
+                    addr + lo * PAGE_SIZE,
+                    (hi - lo) * PAGE_SIZE,
+                    write=True,
+                    batch=1,
+                    bytes_per_page=ex.bytes_per_page,
+                )
+
+        _spawn(ex, proc, 0, body)
+
+    _assert_script_equivalent(script, bytes_per_page=bytes_per_page)
+
+
+@pytest.mark.parametrize("storm", STORMS)
+def test_storm_types_follow_first_access_charge(storm):
+    """The walk's clock turns np.float64 at its first access charge.
+    Here that charge lands on the last page of a pmd, so that pmd's
+    PTL hold total stays a Python float while the next pmd's turns
+    np.float64 — on both paths."""
+
+    def script(ex):
+        proc = ex.procs["p0"]
+        shared = {}
+
+        def setup(t):
+            shared["addr"] = yield from _storm_setup(t, storm, 1024)
+
+        _spawn(ex, proc, 0, setup)
+
+        def toucher(t):
+            addr = shared["addr"]
+            yield from t.touch(addr, 511 * PAGE_SIZE, batch=1, bytes_per_page=0.0)
+            yield from t.touch(
+                addr + 511 * PAGE_SIZE, 513 * PAGE_SIZE, batch=1, bytes_per_page=64.0
+            )
+
+        _spawn(ex, proc, ex.system.machine.cores_of_node(1)[0], toucher)
+
+    import numpy as np
+
+    fast, _slow = _assert_script_equivalent(script)
+    ptls = sorted(fast.procs["p0"]._ptls.items())
+    assert [type(lock.stats.hold_time) for _key, lock in ptls[:2]] == [float, np.float64]
+
+
+def test_demand_zero_declines_with_access_profiler():
+    """An attached heat profiler sees every page's access on the
+    per-page walk, so the first-touch storm must leave it to that walk:
+    100 touches recorded, on both paths."""
+    from repro.kernel.heat import HeatTracker
+
+    def script(ex):
+        proc = ex.procs["p0"]
+        ex.kernel.access_profiler = HeatTracker(ex.system.machine.num_nodes)
+
+        def body(t):
+            addr = yield from t.mmap(100 * PAGE_SIZE, PROT_RW)
+            yield from t.touch(addr, 100 * PAGE_SIZE, write=True, batch=1)
+
+        _spawn(ex, proc, 0, body)
+
+    fast, slow = _assert_script_equivalent(script)
+    heat = fast.kernel.access_profiler, slow.kernel.access_profiler
+    assert heat[0].touches_recorded == heat[1].touches_recorded == 100
+    fast_counts, slow_counts = (
+        {key: cell.tolist() for key, cell in h.snapshot().items()} for h in heat
+    )
+    assert fast_counts == slow_counts
+
+
 def test_run_straddling_vma_boundary():
     """Adjacent VMAs (one mapping split three ways by mprotect):
     touches, next-touch marks and a move_pages call spanning the
@@ -496,11 +595,12 @@ def test_partially_present_run():
     _assert_script_equivalent(script)
 
 
-def test_zero_length_runs():
+@pytest.mark.parametrize("storm", STORMS)
+def test_zero_length_runs(storm):
     """Zero-byte syscalls behave identically on both paths (touch
-    rejects them, the others no-op), and the run-ops refuse a
+    rejects them, the others no-op), and each storm run-op refuses a
     zero-length run outright."""
-    from repro.kernel.runops import cow_break_run, swap_in_run
+    from repro.kernel import runops
 
     def script(ex):
         proc = ex.procs["p0"]
@@ -533,54 +633,71 @@ def test_zero_length_runs():
             vma = next(
                 v for v in proc.addr_space.vmas if v.start == captured["addr"]
             )
-            thread = captured["thread"]
-            assert cow_break_run(ex.kernel, thread, vma, 0, 0, 0.0, "t") is None
-            assert swap_in_run(ex.kernel, thread, vma, 0, 0, 0.0, "t") is None
+            runop = getattr(runops, f"{storm}_run")
+            assert runop(ex.kernel, captured["thread"], vma, 0, 0, 0.0, "t") is None
 
     _assert_script_equivalent(script)
 
 
-def test_runop_bails_with_lock_waiters():
+@pytest.mark.parametrize("storm", STORMS + ("migrate",))
+def test_runop_bails_with_lock_waiters(storm):
     """A held split PTL or LRU lock makes every run-op decline (the
-    slow path, which can queue on the lock, takes over)."""
+    slow path, which can queue on the lock, takes over); freed, the
+    same call engages."""
     import numpy as np
 
-    from repro.kernel.runops import _pmd_locks, cow_break_run, migrate_run
+    from repro.kernel import runops
 
     ex = _Executor(slow=False)
     proc = ex.procs["p0"]
     captured = {}
 
     def body(t):
-        addr = yield from t.mmap(64 * PAGE_SIZE, PROT_RW)
-        yield from t.touch(addr, 64 * PAGE_SIZE)
-        captured["thread"], captured["addr"] = t, addr
+        captured["addr"] = yield from _storm_setup(
+            t, "cow_break" if storm == "migrate" else storm, 64
+        )
+        captured["thread"] = t
 
     _spawn(ex, proc, 0, body)
     vma = next(v for v in proc.addr_space.vmas if v.start == captured["addr"])
     thread = captured["thread"]
 
-    assert _pmd_locks(proc, vma, 0, 8) is not None
-    ptl = proc.ptl(vma.start, 0)
-    ptl._available = 0  # simulate a holder without engine turns
-    assert _pmd_locks(proc, vma, 0, 8) is None
-    assert cow_break_run(ex.kernel, thread, vma, 0, 8, 0.0, "t") is None
-    ptl._available = 1
+    if storm == "migrate":
+        lock = ex.kernel.lru_locks[1]
+        idxs = np.arange(8, dtype=np.int64)
 
-    idxs = np.arange(8, dtype=np.int64)
-    lru = ex.kernel.lru_locks[1]
-    lru._available = 0
-    assert (
-        migrate_run(ex.kernel, thread, vma, idxs, 1, control_us=0.1, tag="mp")
-        is None
-    )
-    lru._available = 1
+        def call():
+            return runops.migrate_run(
+                ex.kernel, thread, vma, idxs, 1, control_us=0.1, tag="move_pages"
+            )
+
+    else:
+        assert runops._pmd_locks(proc, vma, 0, 8) is not None
+        lock = proc.ptl(vma.start, 0)
+        runop = getattr(runops, f"{storm}_run")
+
+        def call():
+            return runop(ex.kernel, thread, vma, 0, 8, 0.0, "t")
+
+    lock._available = 0  # simulate a holder without engine turns
+    if storm != "migrate":
+        assert runops._pmd_locks(proc, vma, 0, 8) is None
+    assert call() is None
+    if storm == "demand_zero":
+        # The target node's LRU lock gates the first-touch storm too.
+        lock._available = 1
+        lock = ex.kernel.lru_locks[0]
+        lock._available = 0
+        assert call() is None
+    lock._available = 1
+    assert call() is not None
 
 
-@pytest.mark.parametrize("scenario", ["migrate", "cow", "swap"])
+@pytest.mark.parametrize("scenario", ["migrate", "cow", "swap", "demand_zero"])
 def test_runops_coalesce_events(scenario):
     """Each run-op collapses its per-page event storm into a handful
     of engine events (the wall-clock point of the layer)."""
+    storm = {"cow": "cow_break", "swap": "swap_in"}.get(scenario, scenario)
 
     def events(slow: bool) -> int:
         ex = _Executor(slow=slow)
@@ -589,15 +706,11 @@ def test_runops_coalesce_events(scenario):
         shared = {}
 
         def setup(t):
-            addr = yield from t.mmap(npages * PAGE_SIZE, PROT_RW)
-            yield from t.touch(addr, npages * PAGE_SIZE)
-            shared["addr"] = addr
             if scenario == "migrate":
+                addr = yield from _storm_setup(t, "cow_break", npages)
                 yield from t.move_range(addr, npages * PAGE_SIZE, 1)
-            elif scenario == "cow":
-                yield from t.fork()
             else:
-                yield from t.swap_out(addr, npages * PAGE_SIZE)
+                shared["addr"] = yield from _storm_setup(t, storm, npages)
 
         _spawn(ex, proc, 0, setup)
         if scenario != "migrate":
@@ -612,6 +725,56 @@ def test_runops_coalesce_events(scenario):
 
     fast, slow = events(False), events(True)
     assert fast < slow // 4, f"{scenario}: fast={fast} slow={slow}"
+
+
+@pytest.mark.parametrize("storm", STORMS)
+def test_storm_windows_fold_like_one_pass(storm, monkeypatch):
+    """Booked in 100-page windows — so window edges cut pmd groups and
+    the clock turns np.float64 mid-window — each storm still matches the
+    per-page walk, and still coalesces its events."""
+    from repro.kernel import runops
+
+    monkeypatch.setattr(runops, "_WINDOW", 100)
+    npages = 1100
+
+    def script(ex):
+        proc = ex.procs["p0"]
+        shared = {}
+
+        def setup(t):
+            shared["addr"] = yield from _storm_setup(t, storm, npages)
+
+        _spawn(ex, proc, 0, setup)
+
+        def toucher(t):
+            yield from t.touch(
+                shared["addr"],
+                npages * PAGE_SIZE,
+                write=True,
+                batch=1,
+                bytes_per_page=ex.bytes_per_page,
+            )
+
+        _spawn(ex, proc, ex.system.machine.cores_of_node(1)[0], toucher)
+
+    fast, slow = _assert_script_equivalent(script, bytes_per_page=float(PAGE_SIZE))
+    assert fast.kernel.env.events_processed < slow.kernel.env.events_processed // 4
+
+
+def test_fold_adds_left_to_right():
+    """The booking fold is the walk's running sum, value and type."""
+    import numpy as np
+
+    from repro.kernel.runops import _fold
+
+    terms = np.random.default_rng(7).uniform(0.0, 3.0, 5000)
+    total = 1e6 / 3
+    for term in terms.tolist():
+        total = total + term
+    assert _fold(1e6 / 3, terms, False) == total
+    assert type(_fold(1e6 / 3, terms, False)) is float
+    assert type(_fold(1e6 / 3, terms, True)) is np.float64
+    assert type(_fold(np.float64(1.0), terms, False)) is np.float64
 
 
 def test_force_slow_path_disables_turbo():

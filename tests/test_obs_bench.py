@@ -25,6 +25,23 @@ def test_compare_statuses():
     assert verdicts["gone"]["status"] == "missing"
 
 
+def test_compare_lower_is_better():
+    """The host wall-clock gate's direction: seconds going up regress."""
+    baseline = {"slow": 1.0, "fast": 1.0, "same": 1.0}
+    metrics = {"slow": 1.3333, "fast": 0.5, "same": 1.1}
+    verdicts = bench.compare(
+        metrics, baseline, tolerance=0.25, lower_is_better=True, pct_digits=1
+    )
+    assert verdicts["slow"] == {
+        "value": 1.3333,
+        "baseline": 1.0,
+        "delta_pct": 33.3,
+        "status": "regression",
+    }
+    assert verdicts["fast"]["status"] == "improvement"
+    assert verdicts["same"]["status"] == "ok"
+
+
 def test_compare_zero_baseline_is_ok():
     verdicts = bench.compare({"a": 0.0}, {"a": 0.0}, tolerance=0.02)
     assert verdicts["a"]["status"] == "ok"

@@ -172,33 +172,6 @@ def measure(repeats: int, workers: int = 1) -> tuple[dict[str, float], dict[str,
     return metrics, used
 
 
-def compare(metrics: dict, baseline: dict, tolerance: float) -> dict:
-    """Per-metric verdicts; wall seconds, so **lower** is better."""
-    verdicts: dict[str, dict] = {}
-    for name in sorted(set(metrics) | set(baseline)):
-        if name not in baseline:
-            verdicts[name] = {"value": metrics[name], "baseline": None, "status": "new"}
-            continue
-        if name not in metrics:
-            verdicts[name] = {"value": None, "baseline": baseline[name], "status": "missing"}
-            continue
-        value, base = metrics[name], baseline[name]
-        delta = (value - base) / base if base else 0.0
-        if delta > tolerance:
-            status = "regression"
-        elif delta < -tolerance:
-            status = "improvement"
-        else:
-            status = "ok"
-        verdicts[name] = {
-            "value": value,
-            "baseline": base,
-            "delta_pct": round(100.0 * delta, 1),
-            "status": status,
-        }
-    return verdicts
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="results directory")
@@ -231,6 +204,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.experiments.parallel import resolve_workers
+    from repro.obs.bench import compare
     from repro.obs.manifest import git_revision
 
     repeats = 1 if args.quick else args.repeats
@@ -245,7 +219,11 @@ def main(argv=None) -> int:
         with open(args.baseline) as fh:
             loaded = json.load(fh)
         baseline = loaded.get("metrics", loaded) if isinstance(loaded, dict) else None
-    comparison = compare(metrics, baseline, args.tolerance) if baseline else None
+    comparison = (
+        compare(metrics, baseline, args.tolerance, lower_is_better=True, pct_digits=1)
+        if baseline
+        else None
+    )
     failures = sorted(
         name
         for name, v in (comparison or {}).items()
