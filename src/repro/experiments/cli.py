@@ -34,42 +34,43 @@ from typing import Callable
 
 from . import (
     blas1_check,
-    fig4_throughput,
-    fig5_nexttouch,
     fig6_breakdown,
-    fig7_scalability,
     fig8_matmul,
     fig12_flows,
     fig_serve,
     table1_lu,
 )
-from .common import default_page_counts
+from .parallel import PARALLEL_EXPERIMENTS, resolve_workers, run_sweep
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "positive"]
 
 _QUICK_PAGES = [4, 16, 64, 256, 1024, 4096]
 
+#: The sweep experiments' CLI flags as ``run_sweep`` keyword arguments —
+#: the one count selection both the serial and ``--workers`` paths use.
+_SWEEP_ARGS: dict[str, Callable[[argparse.Namespace], dict]] = {
+    "fig4": lambda args: {"page_counts": None if args.full else _QUICK_PAGES},
+    "fig5": lambda args: {"page_counts": None if args.full else _QUICK_PAGES},
+    "fig7": lambda args: {
+        "page_counts": None if args.full else [64, 256, 1024, 4096, 16384]
+    },
+    "serve": lambda args: {
+        "full": args.full,
+        "tenants": args.tenants,
+        "requests": args.requests,
+        "slo_us": args.slo_us,
+        "policies": args.policies,
+    },
+}
 
-def _run_fig4(args):
-    counts = None if args.full else _QUICK_PAGES
-    return [fig4_throughput.run(counts)]
 
-
-def _run_fig5(args):
-    counts = None if args.full else _QUICK_PAGES
-    return [fig5_nexttouch.run(counts)]
+def _run_sweep(name: str, args, workers: int = 1, collect: bool = False):
+    return run_sweep(name, workers=workers, collect=collect, **_SWEEP_ARGS[name](args))
 
 
 def _run_fig6(args):
     counts = None if args.full else _QUICK_PAGES
     return [fig6_breakdown.run_user(counts), fig6_breakdown.run_kernel(counts)]
-
-
-def _run_fig7(args):
-    counts = (
-        default_page_counts(64, 32768) if args.full else [64, 256, 1024, 4096, 16384]
-    )
-    return [fig7_scalability.run(counts)]
 
 
 def _run_fig8(args):
@@ -79,18 +80,6 @@ def _run_fig8(args):
 
 def _run_table1(args):
     return [table1_lu.run(full=args.full)]
-
-
-def _run_serve(args):
-    return [
-        fig_serve.run(
-            args.full,
-            tenants=args.tenants,
-            requests=args.requests,
-            slo_us=args.slo_us,
-            policies=args.policies,
-        )
-    ]
 
 
 class _TextResult:
@@ -138,17 +127,17 @@ def _run_blas1(args):
 
 _RUNNERS: dict[str, Callable[..., list]] = {
     "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
     "fig6": _run_fig6,
-    "fig7": _run_fig7,
     "fig8": _run_fig8,
     "table1": _run_table1,
     "blas1": _run_blas1,
     "flows": _run_flows,
     "calibration": _run_calibration,
-    "serve": _run_serve,
     "whatif": _run_whatif,
+    **{
+        name: lambda args, name=name: _run_sweep(name, args).results
+        for name in PARALLEL_EXPERIMENTS
+    },
 }
 
 
@@ -537,14 +526,16 @@ def _run_bench_gate(args) -> int:
     return 0
 
 
-def _positive(kind: type) -> Callable[[str], object]:
-    """An argparse ``type=`` accepting only values of ``kind`` above 0,
-    so bad input ends in a one-line usage error, not a traceback."""
+def positive(kind: type, *, or_zero: bool = False) -> Callable[[str], object]:
+    """An argparse ``type=`` accepting only values of ``kind`` above 0
+    (or equal to 0 with ``or_zero``), so bad input ends in a one-line
+    usage error, not a traceback or a wrong verdict."""
 
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as invalid input
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not (value > 0 or (or_zero and value == 0)):
+            what = "non-negative" if or_zero else "positive"
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__
@@ -624,6 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
+        type=resolve_workers,
         metavar="N",
         default=None,
         help="shard the fig4/fig5/fig7/serve sweeps across N worker "
@@ -636,21 +628,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve = parser.add_argument_group("serve (KV policy race)")
     serve.add_argument(
         "--tenants",
-        type=_positive(int),
+        type=positive(int),
         default=3,
         metavar="N",
         help="tenants in the serving mix (default: 3)",
     )
     serve.add_argument(
         "--requests",
-        type=_positive(int),
+        type=positive(int),
         default=800,
         metavar="N",
         help="requests per client stream (default: 800)",
     )
     serve.add_argument(
         "--slo-us",
-        type=_positive(float),
+        type=positive(float),
         default=fig_serve.DEFAULT_SLO_US,
         metavar="US",
         help="per-tenant p99 latency SLO in simulated microseconds "
@@ -683,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gate.add_argument(
         "--tolerance",
-        type=float,
+        type=positive(float, or_zero=True),
         default=_bench_defaults.DEFAULT_TOLERANCE,
         metavar="FRAC",
         help="allowed relative drop below baseline before failing "
@@ -703,33 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_kwargs(name: str, args) -> dict:
-    """Translate CLI flags into :func:`parallel.run_sweep` kwargs,
-    mirroring the serial ``_run_*`` count selection exactly."""
-    if name == "serve":
-        return {
-            "serve_opts": {
-                "full": args.full,
-                "tenants": args.tenants,
-                "requests": args.requests,
-                "slo_us": args.slo_us,
-                "policies": args.policies,
-            }
-        }
-    if name == "fig7":
-        counts = (
-            default_page_counts(64, 32768)
-            if args.full
-            else [64, 256, 1024, 4096, 16384]
-        )
-    else:
-        counts = None if args.full else _QUICK_PAGES
-    return {"counts": counts}
-
-
 def _run_parallel(args) -> int:
     """``--workers``: shard the sweep experiments across processes."""
-    from . import parallel
+    from concurrent.futures.process import BrokenProcessPool
 
     incompatible = [
         flag
@@ -748,27 +716,23 @@ def _run_parallel(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        workers = parallel.resolve_workers(args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     names = sorted(_RUNNERS) if args.experiment == "all" else [args.experiment]
     for name in names:
         start = time.time()
-        if name not in parallel.PARALLEL_EXPERIMENTS:
+        if name not in PARALLEL_EXPERIMENTS:
             print(
                 f"[{name}: not a shardable sweep, running serially]",
                 file=sys.stderr,
             )
             results, outcome = _RUNNERS[name](args), None
         else:
-            outcome = parallel.run_sweep(
-                name,
-                workers=workers,
-                collect=args.json is not None,
-                **_sweep_kwargs(name, args),
-            )
+            try:
+                outcome = _run_sweep(
+                    name, args, args.workers, collect=args.json is not None
+                )
+            except BrokenProcessPool as exc:
+                print(f"error: {name} sweep failed: {exc}", file=sys.stderr)
+                return 1
             results = outcome.results
         for result in results:
             print(result.render())
@@ -791,7 +755,7 @@ def _run_parallel(args) -> int:
             print(f"[metrics: {metrics_path}]", file=sys.stderr)
         wall = time.time() - start
         print(
-            f"[{name} regenerated in {wall:.1f}s wall; workers={workers}]",
+            f"[{name} regenerated in {wall:.1f}s wall; workers={args.workers}]",
             file=sys.stderr,
         )
     return 0

@@ -19,8 +19,9 @@ from ..kernel.mempolicy import MemPolicy
 from ..kernel.vma import PROT_RW
 from ..util.units import PAGE_SIZE, mb_per_s
 from .common import ExperimentResult, default_page_counts, fresh_system, run_thread
+from .parallel import Sweep, run_sweep
 
-__all__ = ["run", "SERIES"]
+__all__ = ["run", "sweep", "point", "SERIES"]
 
 SERIES = ("memcpy", "migrate_pages", "move_pages", "move_pages (no patch)")
 
@@ -73,26 +74,39 @@ def _measure_migrate_pages(npages: int) -> float:
     return run_thread(system, body, core=0)
 
 
+def sweep(page_counts: Optional[Sequence[int]] = None) -> Sweep:
+    """The Figure 4 sweep: one point per page count."""
+    counts = list(page_counts) if page_counts else default_page_counts(1, 16384)
+
+    def assemble(values: list[dict]) -> ExperimentResult:
+        result = ExperimentResult(
+            experiment_id="fig4",
+            title="Figure 4: migration and memcpy throughput, node #0 -> #1 (MB/s)",
+            x_label="pages",
+            xs=counts,
+            series={name: [v[name] for v in values] for name in SERIES},
+        )
+        result.notes.append(
+            "paper targets: memcpy ~1800 MB/s, migrate_pages ~780 MB/s, "
+            "move_pages ~600 MB/s flat, no-patch collapsing past ~1k pages"
+        )
+        return result
+
+    return Sweep([{"pages": n} for n in counts], assemble)
+
+
+def point(payload: dict) -> dict:
+    """Every series' throughput (MB/s) at one page count."""
+    n = payload["pages"]
+    nbytes = n * PAGE_SIZE
+    return {
+        "memcpy": mb_per_s(nbytes, _measure_memcpy(n)),
+        "migrate_pages": mb_per_s(nbytes, _measure_migrate_pages(n)),
+        "move_pages": mb_per_s(nbytes, _measure_move_pages(n, True)),
+        "move_pages (no patch)": mb_per_s(nbytes, _measure_move_pages(n, False)),
+    }
+
+
 def run(page_counts: Optional[Sequence[int]] = None) -> ExperimentResult:
     """Regenerate Figure 4. Throughputs in MB/s per page count."""
-    counts = list(page_counts) if page_counts else default_page_counts(1, 16384)
-    result = ExperimentResult(
-        experiment_id="fig4",
-        title="Figure 4: migration and memcpy throughput, node #0 -> #1 (MB/s)",
-        x_label="pages",
-        xs=counts,
-        series={name: [] for name in SERIES},
-    )
-    for n in counts:
-        nbytes = n * PAGE_SIZE
-        result.series["memcpy"].append(mb_per_s(nbytes, _measure_memcpy(n)))
-        result.series["migrate_pages"].append(mb_per_s(nbytes, _measure_migrate_pages(n)))
-        result.series["move_pages"].append(mb_per_s(nbytes, _measure_move_pages(n, True)))
-        result.series["move_pages (no patch)"].append(
-            mb_per_s(nbytes, _measure_move_pages(n, False))
-        )
-    result.notes.append(
-        "paper targets: memcpy ~1800 MB/s, migrate_pages ~780 MB/s, "
-        "move_pages ~600 MB/s flat, no-patch collapsing past ~1k pages"
-    )
-    return result
+    return run_sweep("fig4", page_counts=page_counts).results[0]

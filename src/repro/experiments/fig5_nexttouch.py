@@ -17,8 +17,9 @@ from ..kernel.vma import PROT_RW
 from ..nexttouch.user import UserNextTouch
 from ..util.units import PAGE_SIZE, mb_per_s
 from .common import ExperimentResult, default_page_counts, fresh_system, run_thread
+from .parallel import Sweep, run_sweep
 
-__all__ = ["run", "SERIES", "measure_user_nt", "measure_kernel_nt"]
+__all__ = ["run", "sweep", "point", "SERIES", "measure_user_nt", "measure_kernel_nt"]
 
 SERIES = ("User Next-touch (no move pages patch)", "User Next-touch", "Kernel Next-touch")
 
@@ -76,23 +77,38 @@ def measure_kernel_nt(npages: int, *, batch: int = 1, system=None) -> float:
     return run_thread(system, toucher, core=4, process=proc)
 
 
+def sweep(page_counts: Optional[Sequence[int]] = None) -> Sweep:
+    """The Figure 5 sweep: one point per page count."""
+    counts = list(page_counts) if page_counts else default_page_counts(4, 4096)
+
+    def assemble(values: list[dict]) -> ExperimentResult:
+        result = ExperimentResult(
+            experiment_id="fig5",
+            title="Figure 5: next-touch migration throughput (MB/s)",
+            x_label="pages",
+            xs=counts,
+            series={name: [v[name] for v in values] for name in SERIES},
+        )
+        result.notes.append(
+            "paper targets: kernel NT ~800 MB/s from small sizes; user NT "
+            "climbing to ~600 MB/s (move_pages-bound); no-patch collapsing"
+        )
+        return result
+
+    return Sweep([{"pages": n} for n in counts], assemble)
+
+
+def point(payload: dict) -> dict:
+    """Every series' throughput (MB/s) at one page count."""
+    n = payload["pages"]
+    nbytes = n * PAGE_SIZE
+    return {
+        SERIES[0]: mb_per_s(nbytes, measure_user_nt(n, patched=False)),
+        SERIES[1]: mb_per_s(nbytes, measure_user_nt(n, patched=True)),
+        SERIES[2]: mb_per_s(nbytes, measure_kernel_nt(n)),
+    }
+
+
 def run(page_counts: Optional[Sequence[int]] = None) -> ExperimentResult:
     """Regenerate Figure 5. Throughputs in MB/s per page count."""
-    counts = list(page_counts) if page_counts else default_page_counts(4, 4096)
-    result = ExperimentResult(
-        experiment_id="fig5",
-        title="Figure 5: next-touch migration throughput (MB/s)",
-        x_label="pages",
-        xs=counts,
-        series={name: [] for name in SERIES},
-    )
-    for n in counts:
-        nbytes = n * PAGE_SIZE
-        result.series[SERIES[0]].append(mb_per_s(nbytes, measure_user_nt(n, patched=False)))
-        result.series[SERIES[1]].append(mb_per_s(nbytes, measure_user_nt(n, patched=True)))
-        result.series[SERIES[2]].append(mb_per_s(nbytes, measure_kernel_nt(n)))
-    result.notes.append(
-        "paper targets: kernel NT ~800 MB/s from small sizes; user NT "
-        "climbing to ~600 MB/s (move_pages-bound); no-patch collapsing"
-    )
-    return result
+    return run_sweep("fig5", page_counts=page_counts).results[0]

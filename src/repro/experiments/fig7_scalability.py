@@ -23,11 +23,17 @@ from ..kernel.syscalls import Madvise
 from ..kernel.vma import PROT_RW
 from ..util.units import PAGE_SIZE, mb_per_s
 from .common import ExperimentResult, default_page_counts, fresh_system, run_thread
+from .parallel import Sweep, run_sweep
 
-__all__ = ["run", "measure_parallel_migration"]
+__all__ = ["run", "sweep", "point", "measure_parallel_migration"]
 
 _SRC_NODE, _DST_NODE = 0, 1
 _PROBE = 64
+
+#: Migration strategies, in series order.
+STRATEGIES = ("sync", "lazy")
+#: Thread counts raced by default.
+THREADS = (1, 2, 3, 4)
 
 
 def measure_parallel_migration(
@@ -38,7 +44,7 @@ def measure_parallel_migration(
     ``strategy`` is ``"sync"`` (move_pages) or ``"lazy"`` (kernel
     next-touch + touches).
     """
-    if strategy not in ("sync", "lazy"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     system = system or fresh_system()
     cores = system.machine.cores_of_node(_DST_NODE)[:nthreads]
@@ -90,35 +96,54 @@ def measure_parallel_migration(
     return system.now - t0
 
 
+def _series(strategy: str, nthreads: int) -> str:
+    return f"{strategy.capitalize()} - {nthreads} Thread{'s' if nthreads > 1 else ''}"
+
+
+def sweep(
+    page_counts: Optional[Sequence[int]] = None,
+    thread_counts: Sequence[int] = THREADS,
+) -> Sweep:
+    """The Figure 7 sweep: one point per page count, each racing every
+    strategy at every thread count."""
+    counts = list(page_counts) if page_counts else default_page_counts(64, 32768)
+    threads = tuple(thread_counts)
+    names = [_series(strategy, k) for strategy in STRATEGIES for k in threads]
+
+    def assemble(values: list[dict]) -> ExperimentResult:
+        result = ExperimentResult(
+            experiment_id="fig7",
+            title="Figure 7: parallel sync vs lazy migration throughput (MB/s)",
+            x_label="pages",
+            xs=counts,
+            series={name: [v[name] for v in values] for name in names},
+        )
+        result.notes.append(
+            "paper targets: flat below ~1 MiB; sync +50-60% at 4 threads; "
+            "lazy slightly better, peaking ~1.3 GB/s"
+        )
+        return result
+
+    return Sweep([{"pages": n, "threads": threads} for n in counts], assemble)
+
+
+def point(payload: dict) -> dict:
+    """Aggregate throughput (MB/s) per strategy and thread count at one
+    page count."""
+    n = payload["pages"]
+    nbytes = n * PAGE_SIZE
+    return {
+        _series(strategy, k): mb_per_s(nbytes, measure_parallel_migration(n, k, strategy))
+        for strategy in STRATEGIES
+        for k in payload["threads"]
+    }
+
+
 def run(
     page_counts: Optional[Sequence[int]] = None,
-    thread_counts: Sequence[int] = (1, 2, 3, 4),
+    thread_counts: Sequence[int] = THREADS,
 ) -> ExperimentResult:
     """Regenerate Figure 7. Aggregate throughput (MB/s) per series."""
-    counts = list(page_counts) if page_counts else default_page_counts(64, 32768)
-    series_names = [f"Sync - {k} Thread{'s' if k > 1 else ''}" for k in thread_counts]
-    series_names += [f"Lazy - {k} Thread{'s' if k > 1 else ''}" for k in thread_counts]
-    result = ExperimentResult(
-        experiment_id="fig7",
-        title="Figure 7: parallel sync vs lazy migration throughput (MB/s)",
-        x_label="pages",
-        xs=counts,
-        series={name: [] for name in series_names},
-    )
-    for n in counts:
-        nbytes = n * PAGE_SIZE
-        for k in thread_counts:
-            elapsed = measure_parallel_migration(n, k, "sync")
-            result.series[f"Sync - {k} Thread{'s' if k > 1 else ''}"].append(
-                mb_per_s(nbytes, elapsed)
-            )
-        for k in thread_counts:
-            elapsed = measure_parallel_migration(n, k, "lazy")
-            result.series[f"Lazy - {k} Thread{'s' if k > 1 else ''}"].append(
-                mb_per_s(nbytes, elapsed)
-            )
-    result.notes.append(
-        "paper targets: flat below ~1 MiB; sync +50-60% at 4 threads; "
-        "lazy slightly better, peaking ~1.3 GB/s"
-    )
-    return result
+    return run_sweep(
+        "fig7", page_counts=page_counts, thread_counts=thread_counts
+    ).results[0]

@@ -37,8 +37,9 @@ from ..apps.kvserver import (
 )
 from ..obs.timeseries import SCHEMA as TIMESERIES_SCHEMA
 from .common import ExperimentResult, fresh_system
+from .parallel import Sweep, run_sweep
 
-__all__ = ["ServeResult", "race", "run"]
+__all__ = ["ServeResult", "race", "run", "sweep", "point"]
 
 #: Zipf skews raced by ``--full`` (theta; 0.9 is the default mix).
 FULL_THETAS = (0.6, 0.9, 1.2)
@@ -104,7 +105,7 @@ def race(
     return server.run()
 
 
-def run(
+def sweep(
     full: bool = False,
     *,
     tenants: int = 3,
@@ -115,58 +116,77 @@ def run(
     policies: Optional[Sequence[str]] = None,
     gated: bool = True,
     seed: Optional[int] = None,
-) -> ServeResult:
-    """Race the policies; ``full`` sweeps the Zipf skew as well."""
+) -> Sweep:
+    """The policy race: one point per (theta, policy), every one on the
+    same root ``seed`` so all policies serve the same traffic."""
     chosen = tuple(policies) if policies else POLICIES
     thetas = FULL_THETAS if full else (0.9,)
-    result = ServeResult(
-        experiment_id="serve",
-        title=(
-            f"KV serving: {tenants} tenants x {clients} clients, "
-            f"SLO p99 <= {slo_us:g} us"
-        ),
-        x_label="policy",
-        xs=list(chosen),
+    mix = dict(
+        tenants=tenants,
+        keys=keys,
+        clients=clients,
+        requests=requests,
+        slo_us=slo_us,
+        gated=gated,
+        seed=seed,
     )
-    result.slo_us = slo_us
-    for theta in thetas:
-        suffix = f" [theta={theta:g}]" if len(thetas) > 1 else ""
-        columns = {
-            f"req/s{suffix}": [],
-            f"p50 us{suffix}": [],
-            f"p99 us{suffix}": [],
-            f"pages moved{suffix}": [],
-            f"SLO breaches{suffix}": [],
-        }
-        for policy in chosen:
-            stats = race(
-                policy,
-                tenants=tenants,
-                keys=keys,
-                clients=clients,
-                requests=requests,
-                theta=theta,
-                slo_us=slo_us,
-                gated=gated,
-                seed=seed,
-            )
-            label = f"{policy}@{theta:g}" if len(thetas) > 1 else policy
-            result.stats[label] = stats.to_dict()
-            cols = list(columns)
-            columns[cols[0]].append(round(stats.throughput_rps, 1))
-            columns[cols[1]].append(_fmt(stats.p50_us))
-            columns[cols[2]].append(_fmt(stats.p99_us))
-            columns[cols[3]].append(stats.pages_migrated)
-            columns[cols[4]].append(stats.slo["breaches"])
-        result.series.update(columns)
-    result.notes.append(
-        "every tenant loads on its home node and serves from the next "
-        "one over — all traffic starts remote; gated drivers act only "
-        "while the tenant's rolling p99 exceeds the SLO"
-    )
-    return result
+    payloads = [
+        dict(mix, theta=theta, policy=policy) for theta in thetas for policy in chosen
+    ]
+
+    def assemble(values: list[dict]) -> ServeResult:
+        result = ServeResult(
+            experiment_id="serve",
+            title=(
+                f"KV serving: {tenants} tenants x {clients} clients, "
+                f"SLO p99 <= {slo_us:g} us"
+            ),
+            x_label="policy",
+            xs=list(chosen),
+        )
+        result.slo_us = slo_us
+        rows = iter(values)
+        for theta in thetas:
+            race_stats = [next(rows) for _ in chosen]
+            for policy, stats in zip(chosen, race_stats):
+                label = f"{policy}@{theta:g}" if len(thetas) > 1 else policy
+                result.stats[label] = stats
+            suffix = f" [theta={theta:g}]" if len(thetas) > 1 else ""
+            for column, cell in _COLUMNS:
+                result.series[f"{column}{suffix}"] = [cell(s) for s in race_stats]
+        result.notes.append(
+            "every tenant loads on its home node and serves from the next "
+            "one over — all traffic starts remote; gated drivers act only "
+            "while the tenant's rolling p99 exceeds the SLO"
+        )
+        return result
+
+    return Sweep(payloads, assemble)
+
+
+def point(payload: dict) -> dict:
+    """One policy's race, as ``ServeStats.to_dict()``."""
+    return race(**payload).to_dict()
+
+
+def run(full: bool = False, **options) -> ServeResult:
+    """Race the policies; ``full`` sweeps the Zipf skew as well.
+
+    ``options`` are :func:`sweep`'s keyword arguments.
+    """
+    return run_sweep("serve", full=full, **options).results[0]
 
 
 def _fmt(value: Optional[float]):
     """Latency cell: rounded, or ``None`` below the quantile floor."""
     return None if value is None else round(value, 2)
+
+
+#: The race table's columns and the cell each takes from one policy's stats.
+_COLUMNS = (
+    ("req/s", lambda s: round(s["throughput_rps"], 1)),
+    ("p50 us", lambda s: _fmt(s["latency_us"]["p50"])),
+    ("p99 us", lambda s: _fmt(s["latency_us"]["p99"])),
+    ("pages moved", lambda s: s["pages_migrated"]),
+    ("SLO breaches", lambda s: s["slo"]["breaches"]),
+)

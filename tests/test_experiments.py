@@ -260,6 +260,24 @@ def test_cli_serve_rejects_non_positive_flags(flag, value, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_bench_rejects_negative_tolerance(capsys):
+    """A negative tolerance is a usage error, not 11 'regressed' metrics."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["bench", "--tolerance", "-1"])
+    assert exc.value.code == 2
+    assert "argument --tolerance: must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_cli_rejects_bad_workers(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fig4", "--workers", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --workers: must be a positive integer or 'auto'" in err
+    assert "Traceback" not in err
+
+
 def test_whatif_machines_structure():
     from repro.experiments import whatif_machines as wm
 

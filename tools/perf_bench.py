@@ -55,6 +55,9 @@ from typing import Callable
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.experiments.cli import positive  # noqa: E402
+from repro.experiments.parallel import resolve_workers, run_sweep  # noqa: E402
+
 SCHEMA = "repro.bench.wall/v1"
 DEFAULT_TOLERANCE = 0.25
 DEFAULT_BASELINE = os.path.join("benchmarks", "BENCH_WALL_baseline.json")
@@ -78,36 +81,15 @@ SERVE_REQUESTS = 4000
 
 
 def _fig4(workers: int) -> None:
-    if workers > 1:
-        from repro.experiments.parallel import run_sweep
-
-        run_sweep("fig4", workers=workers, counts=[FIG4_PAGES])
-        return
-    from repro.experiments import fig4_throughput
-
-    fig4_throughput.run([FIG4_PAGES])
+    run_sweep("fig4", workers=workers, page_counts=[FIG4_PAGES])
 
 
 def _fig5(workers: int) -> None:
-    if workers > 1:
-        from repro.experiments.parallel import run_sweep
-
-        run_sweep("fig5", workers=workers, counts=[FIG5_PAGES])
-        return
-    from repro.experiments import fig5_nexttouch
-
-    fig5_nexttouch.run([FIG5_PAGES])
+    run_sweep("fig5", workers=workers, page_counts=[FIG5_PAGES])
 
 
 def _fig7(workers: int) -> None:
-    if workers > 1:
-        from repro.experiments.parallel import run_sweep
-
-        run_sweep("fig7", workers=workers, counts=[FIG7_PAGES], thread_counts=(1, 4))
-        return
-    from repro.experiments import fig7_scalability
-
-    fig7_scalability.run([FIG7_PAGES], thread_counts=(1, 4))
+    run_sweep("fig7", workers=workers, page_counts=[FIG7_PAGES], thread_counts=(1, 4))
 
 
 def _whatif64(workers: int) -> None:
@@ -176,8 +158,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="results directory")
     parser.add_argument("--baseline", default=DEFAULT_BASELINE)
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    parser.add_argument("--repeats", type=int, default=3, help="samples per scenario")
+    parser.add_argument(
+        "--tolerance", type=positive(float, or_zero=True), default=DEFAULT_TOLERANCE
+    )
+    parser.add_argument(
+        "--repeats", type=positive(int), default=3, help="samples per scenario"
+    )
     parser.add_argument(
         "--quick",
         action="store_true",
@@ -185,8 +171,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers",
+        type=resolve_workers,
         metavar="N",
-        default=None,
+        default=1,
         help="fan the fig4/fig5/fig7 sweeps across N worker processes "
         "('auto' = host CPU count); recorded per scenario in the report",
     )
@@ -203,15 +190,13 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.experiments.parallel import resolve_workers
     from repro.obs.bench import compare
     from repro.obs.manifest import git_revision
 
     repeats = 1 if args.quick else args.repeats
-    workers = resolve_workers(args.workers)
 
     t0 = time.perf_counter()
-    metrics, used_workers = measure(repeats, workers)
+    metrics, used_workers = measure(repeats, args.workers)
     wall = time.perf_counter() - t0
 
     baseline = None
