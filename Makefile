@@ -7,15 +7,16 @@ PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test verify bench bench-update bench-suite bench-full perf perf-parallel perf-update fuzz fuzz-quick docs-check trace-smoke serve-smoke telemetry-smoke experiments examples loc clean
+.PHONY: test verify bench bench-update bench-suite bench-full perf perf-parallel perf-update fuzz fuzz-quick docs-check experiments examples loc clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
 
-# The default local verification path: the tier-1 suite, the docs
-# linter, the end-to-end tracing and serving smoke tests and the host
-# wall-clock gates (serial, then sharded across all host CPUs).
-verify: test docs-check trace-smoke serve-smoke telemetry-smoke perf perf-parallel
+# The default local verification path: the tier-1 suite (which also
+# holds the end-to-end tracing, telemetry and serving CLI checks), the
+# docs linter and the host wall-clock gates (serial, then sharded
+# across all host CPUs).
+verify: test docs-check perf perf-parallel
 
 # Differential fuzzing: random-but-seeded syscall workloads run against
 # both the kernel and the reference oracle (src/repro/check/), with the
@@ -29,8 +30,8 @@ fuzz:
 fuzz-quick:
 	$(PYTHON) -m repro.check --runs 200 --ops 25 --selftest --out results/fuzz
 
-# The benchmark-regression gates: the paper suite measures the
-# fig4/fig5/fig7 hot paths against benchmarks/BENCH_baseline.json
+# The simulated suites of the regression gate: the paper suite measures
+# the fig4/fig5/fig7 hot paths against benchmarks/BENCH_baseline.json
 # (results/BENCH_results.json); the serve suite races the KV placement
 # policies against benchmarks/BENCH_serve_baseline.json
 # (results/BENCH_serve.json). Either regressing beyond tolerance exits
@@ -44,23 +45,24 @@ bench-update:
 	$(PYTHON) -m repro.experiments.cli bench --out results --update-baseline
 	$(PYTHON) -m repro.experiments.cli bench --suite serve --out results --update-baseline
 
-# The host wall-clock gate: times the fig4/fig5/fig7 sweeps and a
-# fuzzer corpus on the host, writes results/BENCH_wall.json, appends
-# one line to the run history (results/BENCH_wall_history.jsonl), and
-# exits non-zero if any scenario runs more than 25% slower than
+# The wall suite of the same gate: times the fig4/fig5/fig7 sweeps, a
+# fuzzer corpus and a serve race on the host, writes
+# results/BENCH_wall.json, appends one line to the run history
+# (results/BENCH_wall_history.jsonl), and exits non-zero if any
+# scenario runs more than 25% slower than
 # benchmarks/BENCH_WALL_baseline.json. See docs/performance.md.
 perf:
-	$(PYTHON) tools/perf_bench.py --out results --append-history
+	$(PYTHON) -m repro.experiments.cli bench --suite wall --out results --append-history
 
 # The sharded wall-clock gate: same scenarios, but the fig4/fig5/fig7
 # sweeps fan out across every host CPU through the sharded sweep
 # runner (repro/experiments/parallel.py), one timed iteration each.
 perf-parallel:
-	$(PYTHON) tools/perf_bench.py --out results --quick --workers auto
+	$(PYTHON) -m repro.experiments.cli bench --suite wall --out results --repeats 1 --workers auto
 
 # Re-pin the wall-clock baseline (new hardware, or a reviewed change).
 perf-update:
-	$(PYTHON) tools/perf_bench.py --out results --update-baseline
+	$(PYTHON) -m repro.experiments.cli bench --suite wall --out results --update-baseline
 
 # The full pytest-benchmark suite (paper-shape assertions).
 bench-suite:
@@ -72,24 +74,6 @@ bench-full:
 # Fail if docs reference modules/files/CLI flags that don't exist.
 docs-check:
 	$(PYTHON) tools/docs_check.py
-
-# End-to-end tracing smoke test: an instrumented fig4 run with
-# --tracepoints --trace --check; asserts every artifact parses and the
-# event stream matches the registry schemas. See docs/observability.md §9.
-trace-smoke:
-	$(PYTHON) tools/trace_smoke.py
-
-# End-to-end telemetry smoke test: the always-on counters bit-identical
-# fast-vs-slow on a canned workload, the serve series sampled, and the
-# --timeseries CLI artifacts parsing. See docs/observability.md §10.
-telemetry-smoke:
-	$(PYTHON) tools/telemetry_smoke.py
-
-# End-to-end serving smoke test: a tiny 2-tenant KV policy race with
-# --json; asserts the manifest carries non-empty per-policy and
-# per-tenant latency reservoirs. See docs/serving.md.
-serve-smoke:
-	$(PYTHON) tools/serve_smoke.py
 
 experiments:
 	$(PYTHON) -m repro.experiments.cli all

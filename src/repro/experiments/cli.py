@@ -20,6 +20,7 @@ Structured artifacts (schemas in ``docs/observability.md``)::
     repro-experiments introspect           # canned workload + /proc-style views
     repro-experiments bench                # regression gate -> BENCH_results.json
     repro-experiments bench --suite serve  # serving gate -> BENCH_serve.json
+    repro-experiments bench --suite wall   # host-time gate -> BENCH_wall.json
     repro-experiments serve                # KV serving policy race (docs/serving.md)
 """
 
@@ -30,6 +31,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from typing import Callable
 
 from . import (
@@ -40,6 +42,7 @@ from . import (
     fig_serve,
     table1_lu,
 )
+from ..obs import observe, record_tracepoints
 from .parallel import PARALLEL_EXPERIMENTS, resolve_workers, run_sweep
 
 __all__ = ["main", "build_parser", "positive"]
@@ -185,7 +188,6 @@ def _write_observation(
         profile = PhaseProfile.from_events(recorder.events)
         _write_tracepoints(obs, recorder, profile, name, args.tracepoints)
     if args.json is not None:
-        os.makedirs(args.json, exist_ok=True)
         extra = {}
         if invariants is not None:
             extra["invariants"] = invariants
@@ -206,9 +208,6 @@ def _write_observation(
             argv=list(sys.argv[1:]),
             extra=extra or None,
         )
-        manifest_path = os.path.join(args.json, f"{name}.manifest.json")
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2)
         metrics = obs.merged_metrics()
         if invariants is not None:
             metrics["check.invariant_violations"] = {
@@ -221,11 +220,7 @@ def _write_observation(
             registry = MetricsRegistry()
             profile.publish(registry)
             metrics.update(registry.snapshot())
-        metrics_path = os.path.join(args.json, f"{name}.metrics.json")
-        with open(metrics_path, "w") as fh:
-            json.dump(metrics, fh, indent=2)
-        print(f"[manifest: {manifest_path}]", file=sys.stderr)
-        print(f"[metrics: {metrics_path}]", file=sys.stderr)
+        _write_run_json(args.json, name, manifest, metrics)
     if args.trace is not None:
         os.makedirs(args.trace, exist_ok=True)
         events = obs.chrome_trace()
@@ -237,6 +232,16 @@ def _write_observation(
         print(f"[trace: {trace_path}]", file=sys.stderr)
     if args.timeseries is not None:
         _write_timeseries(obs, name, args.timeseries)
+
+
+def _write_run_json(outdir: str, name: str, manifest: dict, metrics: dict) -> None:
+    """Write ``<outdir>/<name>.manifest.json`` and ``.metrics.json``."""
+    os.makedirs(outdir, exist_ok=True)
+    for kind, doc in (("manifest", manifest), ("metrics", metrics)):
+        path = os.path.join(outdir, f"{name}.{kind}.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2)
+        print(f"[{kind}: {path}]", file=sys.stderr)
 
 
 def _write_timeseries(obs, name: str, outdir: str) -> None:
@@ -272,18 +277,27 @@ def _write_timeseries(obs, name: str, outdir: str) -> None:
         print(f"[timeseries: {path}]", file=sys.stderr)
 
 
-def _write_tracepoints(obs, recorder, profile, name: str, outdir: str) -> None:
-    """Emit the ``--tracepoints`` artifact set for one experiment."""
+def _write_event_streams(recorder, profile, name: str, outdir: str) -> None:
+    """Write ``<name>.tracepoints.jsonl`` and ``<name>.phases.trace.json``."""
     from ..obs import write_chrome_trace, write_events_jsonl
-    from ..obs import procfs
 
     os.makedirs(outdir, exist_ok=True)
-    events_path = write_events_jsonl(
-        os.path.join(outdir, f"{name}.tracepoints.jsonl"), recorder.events
-    )
-    phases_path = write_chrome_trace(
-        os.path.join(outdir, f"{name}.phases.trace.json"), profile.chrome_events()
-    )
+    for path in (
+        write_events_jsonl(
+            os.path.join(outdir, f"{name}.tracepoints.jsonl"), recorder.events
+        ),
+        write_chrome_trace(
+            os.path.join(outdir, f"{name}.phases.trace.json"), profile.chrome_events()
+        ),
+    ):
+        print(f"[tracepoints: {path}]", file=sys.stderr)
+
+
+def _write_tracepoints(obs, recorder, profile, name: str, outdir: str) -> None:
+    """Emit the ``--tracepoints`` artifact set for one experiment."""
+    from ..obs import procfs
+
+    _write_event_streams(recorder, profile, name, outdir)
     maps_lines, vmstat_lines = [], []
     for i, system in enumerate(obs.systems):
         kernel = system.kernel
@@ -306,7 +320,7 @@ def _write_tracepoints(obs, recorder, profile, name: str, outdir: str) -> None:
             f"[{name}: tracepoint recorder dropped {recorder.dropped} event(s)]",
             file=sys.stderr,
         )
-    for path in (events_path, phases_path, maps_path, vmstat_path):
+    for path in (maps_path, vmstat_path):
         print(f"[tracepoints: {path}]", file=sys.stderr)
 
 
@@ -400,21 +414,7 @@ def _run_introspect(args) -> int:
     _, heatmap = procfs.placement_heatmap(recorder.events, num_nodes)
     print(heatmap)
     if args.tracepoints is not None:
-        os.makedirs(args.tracepoints, exist_ok=True)
-        from ..obs import write_chrome_trace, write_events_jsonl
-
-        paths = [
-            write_events_jsonl(
-                os.path.join(args.tracepoints, "introspect.tracepoints.jsonl"),
-                recorder.events,
-            ),
-            write_chrome_trace(
-                os.path.join(args.tracepoints, "introspect.phases.trace.json"),
-                profile.chrome_events(),
-            ),
-        ]
-        for path in paths:
-            print(f"[tracepoints: {path}]", file=sys.stderr)
+        _write_event_streams(recorder, profile, "introspect", args.tracepoints)
     return 0
 
 
@@ -451,79 +451,20 @@ def _maybe_profile(args, name: str, fn: Callable[[], object]):
     return result
 
 
-def _fmt_us(value, width: int = 8) -> str:
-    """One latency cell: a number, or ``-`` below the quantile floor."""
-    return f"{value:>{width}.1f}" if value is not None else f"{'-':>{width}}"
-
-
 def _run_bench_gate(args) -> int:
-    """``repro-experiments bench``: measure, write, compare, gate."""
+    """``repro-experiments bench``: gate the chosen suite."""
     from ..obs import bench
 
-    start = time.time()
-    if args.suite == "serve":
-        baseline_path = args.baseline or bench.SERVE_BASELINE
-        metrics, latency = bench.run_serve_bench()
-        results_name = bench.SERVE_RESULTS_FILENAME
-    else:
-        baseline_path = args.baseline or bench.DEFAULT_BASELINE
-        metrics, latency = bench.run_bench(), None
-        results_name = bench.RESULTS_FILENAME
-    report = bench.bench_report(
-        metrics, baseline_path, args.tolerance,
-        wall_time_s=round(time.time() - start, 3),
+    return bench.run_gate(
+        bench.SUITES[args.suite],
+        out=args.out,
+        baseline_path=args.baseline,
+        tolerance=args.tolerance,
+        repeats=args.repeats,
+        workers=args.workers or 1,
+        update_baseline=args.update_baseline,
+        append_history=args.append_history,
     )
-    if args.suite == "serve":
-        report["serve_latency_us"] = latency
-    else:
-        report["phase_latency_us"] = bench.phase_latency_quantiles()
-    os.makedirs(args.out, exist_ok=True)
-    results_path = os.path.join(args.out, results_name)
-    with open(results_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    if args.suite == "serve":
-        print("  request latency (per policy, informational):")
-        for name, q in report["serve_latency_us"].items():
-            print(
-                f"  {name:<30} p50 {_fmt_us(q['p50_us'])}  "
-                f"p95 {_fmt_us(q['p95_us'])}  p99 {_fmt_us(q['p99_us'])} us  "
-                f"({q['count']} requests)"
-            )
-    else:
-        print("  phase latency (lazy migration, informational):")
-        for name, q in report["phase_latency_us"].items():
-            print(
-                f"  {name:<30} p50 {_fmt_us(q['p50_us'])}  "
-                f"p95 {_fmt_us(q['p95_us'])}  p99 {_fmt_us(q['p99_us'])} us  "
-                f"({q['count']} spans)"
-            )
-    if report["comparison"] is None:
-        print(f"bench: no baseline at {baseline_path!r} — wrote results only")
-        for name, value in report["metrics"].items():
-            print(f"  {name:<40} {value:>10.1f}")
-    else:
-        for name, verdict in report["comparison"].items():
-            value = "-" if verdict["value"] is None else f"{verdict['value']:10.1f}"
-            base = "-" if verdict["baseline"] is None else f"{verdict['baseline']:10.1f}"
-            delta = f"{verdict['delta_pct']:+7.2f}%" if "delta_pct" in verdict else "        "
-            print(f"  {name:<40} {value} vs {base} {delta}  {verdict['status']}")
-    print(f"[bench results: {results_path}]", file=sys.stderr)
-    if args.update_baseline:
-        baseline_doc = {"schema": bench.SCHEMA, "metrics": report["metrics"]}
-        os.makedirs(os.path.dirname(baseline_path) or ".", exist_ok=True)
-        with open(baseline_path, "w") as fh:
-            json.dump(baseline_doc, fh, indent=2)
-        print(f"[baseline updated: {baseline_path}]", file=sys.stderr)
-        return 0
-    if report["failures"]:
-        print(
-            f"bench: FAIL — {len(report['failures'])} metric(s) regressed beyond "
-            f"{args.tolerance:.1%}: {', '.join(report['failures'])}",
-            file=sys.stderr,
-        )
-        return 1
-    print("bench: OK", file=sys.stderr)
-    return 0
 
 
 def positive(kind: type, *, or_zero: bool = False) -> Callable[[str], object]:
@@ -623,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and metrics are byte-identical for every N (see "
         "docs/performance.md); incompatible with --trace, --tracepoints, "
         "--timeseries, --check and --profile (the sweep manifest still "
-        "carries a merged telemetry series)",
+        "carries a merged telemetry series); 'bench --suite wall' shards "
+        "its fig4/fig5/fig7 scenarios the same way",
     )
     serve = parser.add_argument_group("serve (KV policy race)")
     serve.add_argument(
@@ -657,42 +599,74 @@ def build_parser() -> argparse.ArgumentParser:
         help="subset of placement policies to race "
         f"(default: all of {', '.join(fig_serve.POLICIES)})",
     )
+    suites = _bench_defaults.SUITES
     gate = parser.add_argument_group("bench (regression gate)")
     gate.add_argument(
         "--suite",
-        choices=("paper", "serve"),
+        choices=tuple(suites),
         default="paper",
         help="which bench suite to gate: the paper's fig4/fig5/fig7 hot "
-        "paths, or the KV serving policy race (default: paper)",
+        "paths in simulated MB/s, the KV serving policy race in simulated "
+        "req/s, or host wall-clock seconds (default: paper)",
     )
     gate.add_argument(
         "--baseline",
         metavar="PATH",
         default=None,
-        help="baseline metrics file to compare against (default: "
-        f"{_bench_defaults.DEFAULT_BASELINE}, or "
-        f"{_bench_defaults.SERVE_BASELINE} with --suite serve)",
+        help="baseline metrics file to compare against (default per suite: "
+        + ", ".join(f"{s.baseline} ({name})" for name, s in suites.items())
+        + ")",
     )
     gate.add_argument(
         "--tolerance",
         type=positive(float, or_zero=True),
-        default=_bench_defaults.DEFAULT_TOLERANCE,
+        default=None,
         metavar="FRAC",
-        help="allowed relative drop below baseline before failing "
-        f"(default: {_bench_defaults.DEFAULT_TOLERANCE})",
+        help="allowed relative regression before failing (default per "
+        "suite: "
+        + ", ".join(f"{s.tolerance} ({name})" for name, s in suites.items())
+        + ")",
+    )
+    gate.add_argument(
+        "--repeats",
+        type=positive(int),
+        default=3,
+        metavar="N",
+        help="timings per wall scenario; the median is gated (default: 3)",
     )
     gate.add_argument(
         "--out",
         metavar="DIR",
         default=".",
-        help=f"directory for {_bench_defaults.RESULTS_FILENAME} (default: .)",
+        help="directory for the suite's results file, e.g. "
+        f"{suites['paper'].results} (default: .)",
     )
     gate.add_argument(
         "--update-baseline",
         action="store_true",
         help="rewrite the baseline from this run's metrics and exit 0",
     )
+    gate.add_argument(
+        "--append-history",
+        action="store_true",
+        help="append one JSON line per run (commit, metrics, verdict) to "
+        "the suite's history file beside its results, e.g. "
+        f"<out>/{suites['wall'].history}",
+    )
     return parser
+
+
+def _emit_results(results, args) -> None:
+    """Print each result table and save its ``--csv``/``--json`` files."""
+    for result in results:
+        print(result.render())
+        print()
+        if args.csv is not None and hasattr(result, "save_csv"):
+            path = result.save_csv(args.csv)
+            print(f"[csv: {path}]", file=sys.stderr)
+        if args.json is not None and hasattr(result, "save_json"):
+            path = result.save_json(args.json)
+            print(f"[json: {path}]", file=sys.stderr)
 
 
 def _run_parallel(args) -> int:
@@ -734,25 +708,9 @@ def _run_parallel(args) -> int:
                 print(f"error: {name} sweep failed: {exc}", file=sys.stderr)
                 return 1
             results = outcome.results
-        for result in results:
-            print(result.render())
-            print()
-            if args.csv is not None and hasattr(result, "save_csv"):
-                path = result.save_csv(args.csv)
-                print(f"[csv: {path}]", file=sys.stderr)
-            if args.json is not None and hasattr(result, "save_json"):
-                path = result.save_json(args.json)
-                print(f"[json: {path}]", file=sys.stderr)
+        _emit_results(results, args)
         if outcome is not None and args.json is not None:
-            os.makedirs(args.json, exist_ok=True)
-            manifest_path = os.path.join(args.json, f"{name}.manifest.json")
-            with open(manifest_path, "w") as fh:
-                json.dump(outcome.manifest, fh, indent=2)
-            metrics_path = os.path.join(args.json, f"{name}.metrics.json")
-            with open(metrics_path, "w") as fh:
-                json.dump(outcome.metrics, fh, indent=2)
-            print(f"[manifest: {manifest_path}]", file=sys.stderr)
-            print(f"[metrics: {metrics_path}]", file=sys.stderr)
+            _write_run_json(args.json, name, outcome.manifest, outcome.metrics)
         wall = time.time() - start
         print(
             f"[{name} regenerated in {wall:.1f}s wall; workers={args.workers}]",
@@ -781,35 +739,11 @@ def main(argv: list[str] | None = None) -> int:
     broken = 0
     for name in names:
         start = time.time()
-        recorder = None
-        if observing:
-            from ..obs import observe
-
-            with observe() as obs:
-                if args.tracepoints is not None:
-                    from ..obs import record_tracepoints
-
-                    with record_tracepoints() as recorder:
-                        results = _maybe_profile(
-                            args, name, lambda: _RUNNERS[name](args)
-                        )
-                else:
-                    results = _maybe_profile(
-                        args, name, lambda: _RUNNERS[name](args)
-                    )
-        else:
-            obs, results = None, _maybe_profile(
-                args, name, lambda: _RUNNERS[name](args)
-            )
-        for result in results:
-            print(result.render())
-            print()
-            if args.csv is not None and hasattr(result, "save_csv"):
-                path = result.save_csv(args.csv)
-                print(f"[csv: {path}]", file=sys.stderr)
-            if args.json is not None and hasattr(result, "save_json"):
-                path = result.save_json(args.json)
-                print(f"[json: {path}]", file=sys.stderr)
+        with (observe() if observing else nullcontext()) as obs, (
+            record_tracepoints() if args.tracepoints is not None else nullcontext()
+        ) as recorder:
+            results = _maybe_profile(args, name, lambda: _RUNNERS[name](args))
+        _emit_results(results, args)
         wall = time.time() - start
         invariants = None
         if args.check and obs is not None:

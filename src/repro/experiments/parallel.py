@@ -29,8 +29,8 @@ with :class:`concurrent.futures.process.BrokenProcessPool` instead of
 hanging it.
 
 ``--workers N`` on the CLI routes the four sweep experiments through
-:func:`run_sweep`; ``tools/perf_bench.py --workers`` uses the same
-entry point for the wall-clock gate.
+:func:`run_sweep`; ``repro-experiments bench --suite wall --workers N``
+uses the same entry point for the wall-clock gate.
 """
 
 from __future__ import annotations

@@ -30,9 +30,10 @@ Everything a run produces beyond its ASCII tables lives here:
 * :mod:`repro.obs.procfs` — ``/proc``-style views (``numa_maps``,
   ``vmstat``, ``pagetypeinfo``, placement heatmap) of a live kernel
   (imported lazily: it pulls in kernel modules);
-* :mod:`repro.obs.bench` — the benchmark-regression gate behind
-  ``repro-experiments bench`` (imported lazily: it pulls in the
-  experiment modules).
+* :mod:`repro.obs.bench` — the one regression gate behind
+  ``repro-experiments bench``: the simulated ``paper`` and ``serve``
+  suites and the host-time ``wall`` suite (not imported here; its
+  scenarios import the experiment modules only when they run).
 
 Schemas for every artifact are documented in ``docs/observability.md``.
 """

@@ -1,17 +1,29 @@
-"""The benchmark-regression gate behind ``repro-experiments bench``.
+"""The one regression gate behind ``repro-experiments bench``.
 
-Runs the hot paths the paper's headline claims rest on — Figure 4
-(``move_pages``/``migrate_pages``/memcpy throughput), Figure 5 (user vs
-kernel next-touch) and Figure 7 (4-thread sync/lazy scaling) — at fixed
-sizes, and compares every metric against a committed baseline
-(``benchmarks/BENCH_baseline.json``). All metrics are throughputs in
-MB/s: **higher is better**, and a value more than ``tolerance`` below
-baseline is a regression. The simulation is deterministic, so the
-default tolerance (2 %) only absorbs intentional re-calibrations small
-enough not to need a baseline update.
+Three suites (:data:`SUITES`) share one path, :func:`run_gate`: read
+the baseline, measure, :func:`compare`, build the report, write it,
+print the verdicts, optionally append a history line or rewrite the
+baseline, and return the exit code.
 
-Kept import-light at module level: the experiment modules load only
-when :func:`run_bench` runs. Result schema: ``repro.bench/v1``
+* ``paper`` — the hot paths the paper's headline claims rest on
+  (Figure 4 ``move_pages``/``migrate_pages``/memcpy, Figure 5 user vs
+  kernel next-touch, Figure 7 1-vs-4-thread sync/lazy) in simulated
+  MB/s, higher is better, 2 %. The simulation is deterministic, so the
+  tolerance only absorbs intentional re-calibrations.
+* ``serve`` — the KV placement-policy race in simulated requests/s,
+  higher is better, 2 %.
+* ``wall`` — host seconds of six pinned scenarios, lower is better,
+  25 %: a change that quietly disables a fast path fails here although
+  every simulated metric is still bit-identical.
+
+Baseline rule, the same for every suite: a missing file is a bootstrap
+run (``comparison`` is null, exit 0); an existing file must hold a
+``{name: number}`` map, bare or under ``metrics``, or the gate prints
+``error: <path>: ...`` and exits 2 before measuring anything.
+
+Kept import-light (the CLI parser reads its defaults from here): the
+experiment, fuzzer and serving modules load only when a suite
+measures. Result schemas: ``repro.bench/v1`` and ``repro.bench.wall/v1``
 (``docs/observability.md`` §5).
 """
 
@@ -19,28 +31,30 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
+import sys
+import time
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 __all__ = [
     "SCHEMA",
-    "DEFAULT_TOLERANCE",
-    "DEFAULT_BASELINE",
-    "RESULTS_FILENAME",
-    "SERVE_BASELINE",
-    "SERVE_RESULTS_FILENAME",
+    "WALL_SCHEMA",
+    "Suite",
+    "SUITES",
+    "BaselineError",
     "run_bench",
     "run_serve_bench",
+    "run_wall_bench",
     "phase_latency_quantiles",
     "compare",
+    "read_baseline",
     "bench_report",
+    "run_gate",
 ]
 
 SCHEMA = "repro.bench/v1"
-DEFAULT_TOLERANCE = 0.02
-DEFAULT_BASELINE = os.path.join("benchmarks", "BENCH_baseline.json")
-RESULTS_FILENAME = "BENCH_results.json"
-SERVE_BASELINE = os.path.join("benchmarks", "BENCH_serve_baseline.json")
-SERVE_RESULTS_FILENAME = "BENCH_serve.json"
+WALL_SCHEMA = "repro.bench.wall/v1"
 
 #: Fixed shape of the gated serving race (``--suite serve``): smaller
 #: than the CLI default so the gate stays fast, seeded so it is
@@ -89,31 +103,24 @@ def _fig7() -> dict[str, float]:
     }
 
 
-_SUITES: tuple[Callable[[], dict[str, float]], ...] = (_fig4, _fig5, _fig7)
-
-
 def run_bench() -> dict[str, float]:
-    """Measure every gated metric; returns ``{name: MB/s}``."""
+    """Measure every gated paper metric; returns ``{name: MB/s}``."""
     metrics: dict[str, float] = {}
-    for suite in _SUITES:
-        metrics.update((k, float(v)) for k, v in suite().items())
+    for part in (_fig4, _fig5, _fig7):
+        metrics.update((k, float(v)) for k, v in part().items())
     return dict(sorted(metrics.items()))
 
 
 def run_serve_bench() -> tuple[dict[str, float], dict[str, dict]]:
-    """The serving gate: per-policy throughput plus latency info.
+    """The serving suite: per-policy throughput plus latency info.
 
     Races every placement policy of :mod:`repro.apps.kvserver` over the
-    fixed tenant mix in :data:`_SERVE_SHAPE` and returns
-
-    * gated metrics ``{"serve.req_s.<policy>": requests/s}`` — like the
-      paper suite these are **higher-better** throughputs, compared
-      against ``benchmarks/BENCH_serve_baseline.json``;
-    * an informational latency block ``{policy: {count, p50_us,
-      p95_us, p99_us}}`` (``None`` below the quantile sample floor),
-      written into ``BENCH_serve.json`` under ``serve_latency_us`` but
-      never gated — tail latencies move with intentional SLO/policy
-      re-tuning more often than with real regressions.
+    fixed tenant mix in :data:`_SERVE_SHAPE` and returns gated metrics
+    ``{"serve.req_s.<policy>": requests/s}`` plus the report block
+    ``serve_latency_us``: ``{policy: {count, p50_us, p95_us, p99_us}}``
+    (``None`` below the quantile sample floor), never gated — tail
+    latencies move with intentional SLO/policy re-tuning more often
+    than with real regressions.
     """
     from ..experiments import fig_serve
 
@@ -128,7 +135,7 @@ def run_serve_bench() -> tuple[dict[str, float], dict[str, dict]]:
             "p95_us": stats.p95_us,
             "p99_us": stats.p99_us,
         }
-    return dict(sorted(metrics.items())), latency
+    return dict(sorted(metrics.items())), {"serve_latency_us": latency}
 
 
 def phase_latency_quantiles(npages: int = _LARGE) -> dict[str, dict]:
@@ -136,8 +143,7 @@ def phase_latency_quantiles(npages: int = _LARGE) -> dict[str, dict]:
 
     Records the kernel tracepoints of a single-thread Figure 7 lazy
     (next-touch) migration and folds them through the phase profiler.
-    Informational, **not gated**: latencies are lower-better while the
-    gate compares higher-better throughputs, so these ride along in
+    Informational, **not gated**: these ride along in
     ``BENCH_results.json`` under ``phase_latency_us`` for trend
     inspection without affecting the verdict.
     """
@@ -158,6 +164,159 @@ def phase_latency_quantiles(npages: int = _LARGE) -> dict[str, dict]:
         }
     return out
 
+
+# ----------------------------------------------------------- wall suite ----
+
+def _sweep(experiment: str, **params) -> Callable[[int], None]:
+    """A wall scenario running one sharded sweep at pinned sizes."""
+
+    def scenario(workers: int) -> None:
+        from ..experiments.parallel import run_sweep
+
+        run_sweep(experiment, workers=workers, **params)
+
+    return scenario
+
+
+def _whatif64(workers: int) -> None:
+    """Kernel next-touch on a 64-node what-if fabric."""
+    from ..experiments.whatif_machines import run_machines
+    from ..hardware.topology import Machine
+
+    run_machines(
+        [16, 256, 4096],
+        machines={
+            "64 nodes x 2 cores": lambda cost: Machine.symmetric(64, 2, cost=cost)
+        },
+    )
+
+
+def _fuzz_corpus(workers: int) -> None:
+    """20 seeded differential-fuzzer workloads of 25 ops each."""
+    from ..check.fuzzer import generate_ops, run_ops
+
+    for seed in range(1, 21):
+        failure = run_ops(generate_ops(seed, 25))
+        if failure is not None:  # pragma: no cover - would fail make fuzz too
+            raise SystemExit(f"fuzz corpus seed {seed} failed: {failure.to_json()}")
+
+
+def _serve_race(workers: int) -> None:
+    """The serve-turbo scenario: the policies whose request streams
+    batch well (autonuma/replicate are structurally per-request — an
+    attached scanner / guarded writes — and would only add noise)."""
+    from ..experiments.fig_serve import race
+
+    for policy in ("static", "move_pages", "nexttouch"):
+        race(policy, requests=4000, seed=1234)
+
+
+#: ``{metric: (scenario, shards across workers)}``; a scenario that
+#: does not shard always runs with one worker, whatever ``workers``
+#: says. fig4's 262144 pages is 1 GiB of 4-KiB pages — the size the
+#: fast-path work is judged against.
+WALL_SCENARIOS: dict[str, tuple[Callable[[int], None], bool]] = {
+    "fig4.sweep_s@262144": (_sweep("fig4", page_counts=[262144]), True),
+    "fig5.sweep_s@16384": (_sweep("fig5", page_counts=[16384]), True),
+    "fig7.sweep_s@8192": (
+        _sweep("fig7", page_counts=[8192], thread_counts=(1, 4)),
+        True,
+    ),
+    "whatif.sweep_s@64x2": (_whatif64, False),
+    "fuzz.corpus_s@20x25": (_fuzz_corpus, False),
+    "serve.sweep_s@3x4000": (_serve_race, False),
+}
+
+
+def run_wall_bench(repeats: int, workers: int = 1) -> tuple[dict[str, float], dict]:
+    """Median-of-``repeats`` host seconds per scenario, plus the
+    ``repeats`` and per-scenario ``workers`` report blocks."""
+    metrics: dict[str, float] = {}
+    used: dict[str, int] = {}
+    for name, (scenario, shards) in WALL_SCENARIOS.items():
+        scenario_workers = workers if shards else 1
+        samples = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            scenario(scenario_workers)
+            samples.append(time.perf_counter() - t0)
+        metrics[name] = round(statistics.median(samples), 4)
+        used[name] = scenario_workers
+    return metrics, {"repeats": repeats, "workers": used}
+
+
+# ---------------------------------------------------------------- suites ----
+
+@dataclass(frozen=True)
+class Suite:
+    """One gated suite: what it measures and how it is judged."""
+
+    schema: str
+    baseline: str
+    results: str
+    tolerance: float
+    lower_is_better: bool
+    #: ``(repeats, workers) -> (metrics, informational report blocks)``;
+    #: looks the ``run_*`` functions up at call time, so tests can
+    #: monkeypatch them
+    measure: Callable[[int, int], tuple[dict, dict]]
+    #: decimals of printed metric values
+    digits: int
+    #: ``(report key, heading, count noun)`` of an informational
+    #: latency block printed ahead of the verdicts
+    latency: Optional[tuple[str, str, str]] = None
+
+    @property
+    def history(self) -> str:
+        """The ``--append-history`` file, beside :attr:`results`."""
+        return self.results.replace(".json", "_history.jsonl")
+
+
+SUITES: dict[str, Suite] = {
+    "paper": Suite(
+        schema=SCHEMA,
+        baseline=os.path.join("benchmarks", "BENCH_baseline.json"),
+        results="BENCH_results.json",
+        tolerance=0.02,
+        lower_is_better=False,
+        measure=lambda repeats, workers: (
+            run_bench(),
+            {"phase_latency_us": phase_latency_quantiles()},
+        ),
+        digits=1,
+        latency=(
+            "phase_latency_us",
+            "phase latency (lazy migration, informational)",
+            "spans",
+        ),
+    ),
+    "serve": Suite(
+        schema=SCHEMA,
+        baseline=os.path.join("benchmarks", "BENCH_serve_baseline.json"),
+        results="BENCH_serve.json",
+        tolerance=0.02,
+        lower_is_better=False,
+        measure=lambda repeats, workers: run_serve_bench(),
+        digits=1,
+        latency=(
+            "serve_latency_us",
+            "request latency (per policy, informational)",
+            "requests",
+        ),
+    ),
+    "wall": Suite(
+        schema=WALL_SCHEMA,
+        baseline=os.path.join("benchmarks", "BENCH_WALL_baseline.json"),
+        results="BENCH_wall.json",
+        tolerance=0.25,
+        lower_is_better=True,
+        measure=lambda repeats, workers: run_wall_bench(repeats, workers),
+        digits=4,
+    ),
+}
+
+
+# ------------------------------------------------------------------ gate ----
 
 def compare(
     metrics: dict,
@@ -203,39 +362,66 @@ def compare(
     return verdicts
 
 
+class BaselineError(ValueError):
+    """A baseline file that exists but cannot be gated against."""
+
+
+def read_baseline(path: str) -> Optional[dict[str, float]]:
+    """The ``{name: value}`` map in ``path``, or ``None`` if it is missing.
+
+    Accepts a bare map or a previous report/baseline document carrying
+    one under ``metrics``; anything else raises :class:`BaselineError`.
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise BaselineError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise BaselineError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(loaded, dict):
+        kind = type(loaded).__name__
+        raise BaselineError(f"{path}: expected a JSON object, got {kind}")
+    metrics = loaded.get("metrics", loaded)
+    if not isinstance(metrics, dict) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        for v in metrics.values()
+    ):
+        raise BaselineError(f"{path}: expected a map of metric names to numbers")
+    return metrics
+
+
 def bench_report(
+    suite: Suite,
     metrics: dict,
-    baseline_path: Optional[str],
+    baseline: Optional[dict],
+    baseline_path: str,
     tolerance: float,
     wall_time_s: Optional[float] = None,
+    info: Optional[dict] = None,
 ) -> dict:
-    """The full ``BENCH_results.json`` document.
+    """The full results document (``BENCH_results.json`` and kin).
 
     ``failures`` lists metrics with status ``regression`` or
-    ``missing``; a non-empty list is what makes the CLI exit non-zero.
-    A missing baseline file leaves ``comparison`` as ``None`` (first
-    run / bootstrap mode).
+    ``missing``; a non-empty list is what makes the gate exit 1. No
+    baseline leaves ``comparison`` as ``None`` (bootstrap run).
     """
     from .manifest import git_revision
 
-    baseline = None
-    if baseline_path and os.path.exists(baseline_path):
-        with open(baseline_path) as fh:
-            loaded = json.load(fh)
-        # Accept either a bare {name: value} map or a previous report.
-        baseline = loaded.get("metrics", loaded) if isinstance(loaded, dict) else None
-    comparison = compare(metrics, baseline, tolerance) if baseline is not None else None
-    failures = (
-        sorted(
-            name
-            for name, verdict in comparison.items()
-            if verdict["status"] in ("regression", "missing")
-        )
-        if comparison is not None
-        else []
+    comparison = (
+        compare(metrics, baseline, tolerance, lower_is_better=suite.lower_is_better)
+        if baseline is not None
+        else None
+    )
+    failures = sorted(
+        name
+        for name, verdict in (comparison or {}).items()
+        if verdict["status"] in ("regression", "missing")
     )
     return {
-        "schema": SCHEMA,
+        "schema": suite.schema,
         "git_revision": git_revision(),
         "tolerance": tolerance,
         "baseline_path": baseline_path if baseline is not None else None,
@@ -243,4 +429,108 @@ def bench_report(
         "metrics": metrics,
         "comparison": comparison,
         "failures": failures,
+        **(info or {}),
     }
+
+
+def _write_json(path: str, doc: dict) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _fmt_us(value, width: int = 8) -> str:
+    """One latency cell: a number, or ``-`` below the quantile floor."""
+    return f"{value:>{width}.1f}" if value is not None else f"{'-':>{width}}"
+
+
+def _print_verdicts(suite: Suite, report: dict, baseline_path: str) -> None:
+    if suite.latency is not None:
+        key, heading, noun = suite.latency
+        print(f"  {heading}:")
+        for name, q in report[key].items():
+            print(
+                f"  {name:<30} p50 {_fmt_us(q['p50_us'])}  "
+                f"p95 {_fmt_us(q['p95_us'])}  p99 {_fmt_us(q['p99_us'])} us  "
+                f"({q['count']} {noun})"
+            )
+    cell = f"10.{suite.digits}f"
+    if report["comparison"] is None:
+        print(f"bench: no baseline at {baseline_path!r} — wrote results only")
+        for name, value in report["metrics"].items():
+            print(f"  {name:<40} {value:>{cell}}")
+        return
+    for name, verdict in report["comparison"].items():
+        value = "-" if verdict["value"] is None else f"{verdict['value']:{cell}}"
+        base = "-" if verdict["baseline"] is None else f"{verdict['baseline']:{cell}}"
+        delta = f"{verdict['delta_pct']:+7.2f}%" if "delta_pct" in verdict else "        "
+        print(f"  {name:<40} {value} vs {base} {delta}  {verdict['status']}")
+
+
+#: Report keys copied into each ``--append-history`` line (plus a verdict).
+_HISTORY_KEYS = (
+    "schema", "git_revision", "tolerance", "repeats", "workers", "metrics", "failures"
+)
+
+
+def run_gate(
+    suite: Suite,
+    *,
+    out: str,
+    baseline_path: Optional[str] = None,
+    tolerance: Optional[float] = None,
+    repeats: int = 3,
+    workers: int = 1,
+    update_baseline: bool = False,
+    append_history: bool = False,
+) -> int:
+    """Gate one suite; returns the exit code (0 ok, 1 regression,
+    2 unusable baseline). ``None`` picks the suite's default."""
+    baseline_path = baseline_path or suite.baseline
+    tolerance = suite.tolerance if tolerance is None else tolerance
+    try:
+        baseline = read_baseline(baseline_path)
+    except BaselineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    start = time.time()
+    metrics, info = suite.measure(repeats, workers)
+    report = bench_report(
+        suite, metrics, baseline, baseline_path, tolerance,
+        wall_time_s=round(time.time() - start, 3), info=info,
+    )
+    results_path = os.path.join(out, suite.results)
+    _write_json(results_path, report)
+    _print_verdicts(suite, report, baseline_path)
+    print(f"[bench results: {results_path}]", file=sys.stderr)
+
+    if append_history:
+        # One self-contained line per run: enough to plot metrics over
+        # commits without parsing full reports.
+        record = {key: report[key] for key in _HISTORY_KEYS if key in report}
+        record["verdict"] = (
+            "no-baseline"
+            if baseline is None
+            else ("regression" if report["failures"] else "ok")
+        )
+        history_path = os.path.join(out, suite.history)
+        with open(history_path, "a") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        print(f"[bench history: {history_path}]", file=sys.stderr)
+
+    if update_baseline:
+        doc = {"schema": suite.schema, "git_revision": report["git_revision"]}
+        _write_json(baseline_path, {**doc, "metrics": metrics})
+        print(f"[baseline updated: {baseline_path}]", file=sys.stderr)
+        return 0
+    if report["failures"]:
+        print(
+            f"bench: FAIL — {len(report['failures'])} metric(s) regressed beyond "
+            f"{tolerance:.1%}: {', '.join(report['failures'])}",
+            file=sys.stderr,
+        )
+        return 1
+    print("bench: OK", file=sys.stderr)
+    return 0

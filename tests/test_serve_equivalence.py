@@ -31,11 +31,16 @@ POLICIES = ("static", "move_pages", "nexttouch", "autonuma", "replicate")
 REQUESTS = 240
 
 
-def _race(policy, slow, monkeypatch):
+def _force_slow(monkeypatch, slow):
+    """``REPRO_SLOW_PATH=1`` for a forced-slow run, unset otherwise."""
     if slow:
         monkeypatch.setenv("REPRO_SLOW_PATH", "1")
     else:
         monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
+
+
+def _race(policy, slow, monkeypatch):
+    _force_slow(monkeypatch, slow)
     return race(policy, requests=REQUESTS, seed=20260809)
 
 
@@ -52,10 +57,7 @@ def test_turbo_serve_is_bit_identical_to_slow_path(policy, monkeypatch):
 
 
 def _serve_static(slow, monkeypatch):
-    if slow:
-        monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-    else:
-        monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
+    _force_slow(monkeypatch, slow)
     system = fresh_system()
     specs = default_tenants(
         2, system.machine.num_nodes, keys=64, clients=2, requests=200
@@ -172,3 +174,44 @@ def test_gate_observe_batch_matches_scalar_observe():
         assert gate.recoveries == scalar.recoveries
         assert gate.rolling_p99() == scalar.rolling_p99()
         assert list(gate._window) == list(scalar._window)
+
+
+# ------------------------------------------------------------ CLI manifest ----
+
+def _cli_serve_manifest(tmp_path, slow, monkeypatch, capsys):
+    """A tiny 2-tenant next-touch race through the CLI with ``--json``."""
+    from repro.experiments import cli
+
+    _force_slow(monkeypatch, slow)
+    out = tmp_path / ("slow" if slow else "turbo")
+    argv = ["serve", "--tenants", "2", "--requests", "200"]
+    argv += ["--policies", "nexttouch", "--json", str(out)]
+    assert cli.main(argv) == 0
+    assert "req/s" in capsys.readouterr().out
+    json.loads((out / "serve.metrics.json").read_text())
+    return json.loads((out / "serve.manifest.json").read_text())
+
+
+def test_cli_serve_manifest_is_identical_turbo_vs_forced_slow(
+    tmp_path, monkeypatch, capsys
+):
+    """The whole run manifest — latency reservoirs, SLO summaries,
+    kernel stats, ledger, telemetry series — does not care which path
+    served the requests; only wall time and argv are host-dependent."""
+    turbo = _cli_serve_manifest(tmp_path, False, monkeypatch, capsys)
+    slow = _cli_serve_manifest(tmp_path, True, monkeypatch, capsys)
+
+    assert isinstance(turbo["serve"]["slo_us"], float)
+    assert set(turbo["serve"]["policies"]) == {"nexttouch"}
+    stats = turbo["serve"]["policies"]["nexttouch"]
+    assert stats["requests"] == 2 * 2 * 200
+    assert stats["throughput_rps"] > 0
+    assert isinstance(stats["latency_us"]["p99"], float)
+    assert len(stats["tenants"]) == 2
+    for name, tstats in stats["tenants"].items():
+        assert tstats["requests"] == 2 * 200, name
+        assert tstats["latency_us"]["p99"] is not None, name
+
+    for manifest in (turbo, slow):
+        del manifest["wall_time_s"], manifest["argv"]
+    assert json.dumps(turbo, sort_keys=True) == json.dumps(slow, sort_keys=True)

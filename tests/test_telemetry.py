@@ -248,3 +248,64 @@ def test_merge_series_order_and_accounting():
     assert len(merged["points"]) == 2
     # order given is order kept
     assert merged["points"][0] is one.points[0] or merged["points"][0] == one.points[0]
+
+
+# ------------------------------------------------------- end to end ----
+
+
+def _canned_counters(slow: bool) -> dict:
+    """Touch, swap out, swap back in and migrate 256 pages: every run
+    kind with a turbo twin."""
+    from repro.kernel.swap import attach_swap
+
+    system = System()
+    kernel = system.kernel
+    kernel.force_slow_path = slow
+    # telemetry must never be the observer that disengages turbo
+    assert slow or kernel.turbo_ok()
+    attach_swap(kernel)
+    npages = 256
+
+    def body(t):
+        addr = yield from t.mmap(npages * PAGE_SIZE, PROT_RW)
+        yield from t.touch(addr, npages * PAGE_SIZE, write=True, batch=1)
+        yield from t.swap_out(addr, (npages // 2) * PAGE_SIZE)
+        yield from t.touch(addr, (npages // 2) * PAGE_SIZE, batch=1)
+        yield from t.move_range(addr, npages * PAGE_SIZE, 1)
+
+    drive(system, body)
+    return stats_snapshot(kernel)
+
+
+def test_canned_workload_counters_fast_vs_slow():
+    fast, slow = _canned_counters(False), _canned_counters(True)
+    assert fast == slow
+    assert fast["minor_faults"] == 256
+    assert fast["pages_migrated"] == 256
+    assert fast["pages_swapped_out"] == 128
+    assert fast["pages_swapped_in"] == 128
+    assert all(v >= 0 for v in fast.values())
+
+
+def test_serve_stats_carry_a_time_ordered_p99_series():
+    from repro.apps.kvserver import smoke_workload
+
+    series = smoke_workload(seed=0).to_dict()["series"]
+    assert series["schema"] == SCHEMA
+    points = series["points"]
+    assert points and any("serve.p99_us" in p for p in points)
+    assert all(a["t_us"] <= b["t_us"] for a, b in zip(points, points[1:]))
+
+
+def test_cli_fig4_timeseries_artifacts(tmp_path, capsys):
+    from repro.experiments import cli
+
+    out = tmp_path / "ts"
+    assert cli.main(["fig4", "--timeseries", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "fig4.timeseries.json").read_text())
+    assert doc["schema"] == SCHEMA and doc["points"]
+    trace = json.loads((out / "fig4.timeseries.trace.json").read_text())
+    events = trace["traceEvents"] if isinstance(trace, dict) else trace
+    counters = [e for e in events if e.get("ph") == "C"]
+    assert counters and all("value" in e["args"] for e in counters)

@@ -1,6 +1,7 @@
 """Tests for the kernel tracepoint subsystem (docs/observability.md §9)."""
 
 import json
+import re
 
 import pytest
 
@@ -251,3 +252,46 @@ def test_cli_tracepoints_flag_writes_artifacts(tmp_path, capsys):
     assert names == set(TRACEPOINTS)
     trace = json.loads(phases_path.read_text())
     assert any(e.get("ph") == "X" for e in trace)
+
+
+#: One ``numa_maps`` line: address, policy, anon/file page count.
+NUMA_MAPS_RE = re.compile(
+    r"^[0-9a-f]{12} (default|bind:[\d,]+|prefer:\d+|interleave:[\d,]+) "
+    r"(anon|file)=\d+"
+)
+
+
+def test_cli_fig4_tracepoints_trace_check_artifacts(tmp_path, capsys):
+    """An instrumented fig4 run end to end: the invariant checkers pass,
+    every event in the stream is registered and carries its exact
+    schema, both Chrome traces hold complete-event slices, and the
+    ``numa_maps``/``vmstat`` views parse."""
+    from repro.experiments import cli
+
+    out = tmp_path / "tp"
+    argv = ["fig4", "--tracepoints", str(out), "--trace", str(out), "--check"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+
+    names_seen = set()
+    with open(out / "fig4.tracepoints.jsonl") as fh:
+        for line in fh:
+            event = json.loads(line)
+            fields = set(event) - {"name", "t_us", "sys"}
+            assert fields == set(TRACEPOINTS[event["name"]].fields), event
+            names_seen.add(event["name"])
+    assert {"migrate:phase_copy", "fault:enter", "move_pages:batch"} <= names_seen
+
+    for trace_name in ("fig4.phases.trace.json", "fig4.trace.json"):
+        trace = json.loads((out / trace_name).read_text())
+        assert isinstance(trace, list) and trace, trace_name
+        assert any(e.get("ph") == "X" for e in trace), trace_name
+
+    def rows(filename):
+        lines = (out / filename).read_text().splitlines()
+        return [line for line in lines if line and not line.startswith("#")]
+
+    maps = rows("fig4.numa_maps.txt")
+    assert maps and all(NUMA_MAPS_RE.match(line) for line in maps)
+    vmstat = [line.split() for line in rows("fig4.vmstat.txt")]
+    assert vmstat and all(len(row) == 2 and row[1].isdigit() for row in vmstat)
