@@ -85,10 +85,21 @@ class BlockedMatrix:
         return pages
 
     def blocks_pages(self, blocks: list[tuple[int, int]]) -> np.ndarray:
-        """Union of page indices over several blocks."""
+        """Sorted union of page indices over several blocks.
+
+        Equal, element for element and by dtype, to ``np.unique`` of the
+        concatenated page sets, but built as sort + adjacent-difference
+        mask: NumPy's hash-based ``unique`` costs several times more on
+        these few-hundred-page arrays, and every LU block op calls this.
+        """
         if not blocks:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([self.block_pages(i, j) for i, j in blocks]))
+        pages = np.concatenate([self.block_pages(i, j) for i, j in blocks])
+        pages.sort()  # the concatenation is a fresh array; the cache is safe
+        keep = np.empty(pages.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(pages[1:], pages[:-1], out=keep[1:])
+        return pages[keep]
 
     def trailing_submatrix_range(self, k: int) -> tuple[int, int]:
         """(address, nbytes) of rows ``k*b .. n`` — the region the LU's

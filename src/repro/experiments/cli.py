@@ -40,7 +40,6 @@ from . import (
     fig8_matmul,
     fig12_flows,
     fig_serve,
-    table1_lu,
 )
 from ..obs import observe, record_tracepoints
 from .parallel import PARALLEL_EXPERIMENTS, resolve_workers, run_sweep
@@ -64,6 +63,7 @@ _SWEEP_ARGS: dict[str, Callable[[argparse.Namespace], dict]] = {
         "slo_us": args.slo_us,
         "policies": args.policies,
     },
+    "table1": lambda args: {"full": args.full},
 }
 
 
@@ -79,10 +79,6 @@ def _run_fig6(args):
 def _run_fig8(args):
     sizes = fig8_matmul.DEFAULT_SIZES if args.full else (128, 256, 512, 1024)
     return [fig8_matmul.run(sizes)]
-
-
-def _run_table1(args):
-    return [table1_lu.run(full=args.full)]
 
 
 class _TextResult:
@@ -132,7 +128,6 @@ _RUNNERS: dict[str, Callable[..., list]] = {
     "fig3": _run_fig3,
     "fig6": _run_fig6,
     "fig8": _run_fig8,
-    "table1": _run_table1,
     "blas1": _run_blas1,
     "flows": _run_flows,
     "calibration": _run_calibration,
@@ -559,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=resolve_workers,
         metavar="N",
         default=None,
-        help="shard the fig4/fig5/fig7/serve sweeps across N worker "
+        help="shard the fig4/fig5/fig7/serve/table1 sweeps across N worker "
         "processes ('auto' = host CPU count); merged results, manifests "
         "and metrics are byte-identical for every N (see "
         "docs/performance.md); incompatible with --trace, --tracepoints, "
@@ -692,24 +687,21 @@ def _run_parallel(args) -> int:
         return 2
     names = sorted(_RUNNERS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        start = time.time()
         if name not in PARALLEL_EXPERIMENTS:
             print(
                 f"[{name}: not a shardable sweep, running serially]",
                 file=sys.stderr,
             )
-            results, outcome = _RUNNERS[name](args), None
-        else:
-            try:
-                outcome = _run_sweep(
-                    name, args, args.workers, collect=args.json is not None
-                )
-            except BrokenProcessPool as exc:
-                print(f"error: {name} sweep failed: {exc}", file=sys.stderr)
-                return 1
-            results = outcome.results
-        _emit_results(results, args)
-        if outcome is not None and args.json is not None:
+            _run_serial(name, args)
+            continue
+        start = time.time()
+        try:
+            outcome = _run_sweep(name, args, args.workers, collect=args.json is not None)
+        except BrokenProcessPool as exc:
+            print(f"error: {name} sweep failed: {exc}", file=sys.stderr)
+            return 1
+        _emit_results(outcome.results, args)
+        if args.json is not None:
             _write_run_json(args.json, name, outcome.manifest, outcome.metrics)
         wall = time.time() - start
         print(
@@ -717,6 +709,40 @@ def _run_parallel(args) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def _run_serial(name: str, args) -> int:
+    """Run one experiment in this process, observed as the flags ask,
+    and write its artifacts; returns the invariant violations found."""
+    observing = (
+        args.json is not None
+        or args.trace is not None
+        or args.tracepoints is not None
+        or args.timeseries is not None
+        or args.check
+    )
+    start = time.time()
+    with (observe() if observing else nullcontext()) as obs, (
+        record_tracepoints() if args.tracepoints is not None else nullcontext()
+    ) as recorder:
+        results = _maybe_profile(args, name, lambda: _RUNNERS[name](args))
+    _emit_results(results, args)
+    wall = time.time() - start
+    invariants = None
+    if args.check and obs is not None:
+        invariants = _check_observation(obs, name)
+    if obs is not None:
+        _write_observation(
+            obs,
+            name,
+            args,
+            wall_time_s=round(wall, 3),
+            invariants=invariants,
+            recorder=recorder,
+            results=results,
+        )
+    print(f"[{name} regenerated in {wall:.1f}s wall]", file=sys.stderr)
+    return len(invariants["violations"]) if invariants is not None else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -729,37 +755,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers is not None:
         return _run_parallel(args)
     names = sorted(_RUNNERS) if args.experiment == "all" else [args.experiment]
-    observing = (
-        args.json is not None
-        or args.trace is not None
-        or args.tracepoints is not None
-        or args.timeseries is not None
-        or args.check
-    )
-    broken = 0
-    for name in names:
-        start = time.time()
-        with (observe() if observing else nullcontext()) as obs, (
-            record_tracepoints() if args.tracepoints is not None else nullcontext()
-        ) as recorder:
-            results = _maybe_profile(args, name, lambda: _RUNNERS[name](args))
-        _emit_results(results, args)
-        wall = time.time() - start
-        invariants = None
-        if args.check and obs is not None:
-            invariants = _check_observation(obs, name)
-            broken += len(invariants["violations"])
-        if obs is not None:
-            _write_observation(
-                obs,
-                name,
-                args,
-                wall_time_s=round(wall, 3),
-                invariants=invariants,
-                recorder=recorder,
-                results=results,
-            )
-        print(f"[{name} regenerated in {wall:.1f}s wall]", file=sys.stderr)
+    broken = sum(_run_serial(name, args) for name in names)
     return 1 if broken else 0
 
 

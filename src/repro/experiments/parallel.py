@@ -1,7 +1,7 @@
 """Sharded sweep runner: fan sweep points across worker processes.
 
-The fig4/fig5/fig7 sweeps and the serve policy race are embarrassingly
-parallel — every point builds its own fresh system and never looks at
+The fig4/fig5/fig7 sweeps, the serve policy race and Table 1's LU rows
+are embarrassingly parallel — every point builds its own fresh system and never looks at
 another point's state. Each of those experiment modules defines its
 sweep exactly once, in two module-level functions:
 
@@ -28,7 +28,7 @@ A worker that dies mid-sweep (killed, out of memory) fails the sweep
 with :class:`concurrent.futures.process.BrokenProcessPool` instead of
 hanging it.
 
-``--workers N`` on the CLI routes the four sweep experiments through
+``--workers N`` on the CLI routes the five sweep experiments through
 :func:`run_sweep`; ``repro-experiments bench --suite wall --workers N``
 uses the same entry point for the wall-clock gate.
 """
@@ -58,6 +58,7 @@ _MODULES = {
     "fig5": "fig5_nexttouch",
     "fig7": "fig7_scalability",
     "serve": "fig_serve",
+    "table1": "table1_lu",
 }
 
 #: Experiments the CLI may shard with ``--workers``.
@@ -205,7 +206,7 @@ def run_sweep(
 
     ``params`` are the keyword arguments of the experiment's ``run()``
     (e.g. ``page_counts``, fig7's ``thread_counts``, serve's
-    ``tenants``/``policies``/``seed``). With ``collect=True`` every
+    ``tenants``/``policies``/``seed``, table1's ``configs``/``full``). With ``collect=True`` every
     point runs under :func:`~repro.obs.context.observe` and the outcome
     also carries the merged metrics snapshot and sweep manifest.
     """

@@ -253,6 +253,26 @@ def touch_pages(
         return
     need_bits = PTE_PRESENT | (PTE_WRITE if write else 0)
     flags = vma.pt.flags[idxs]
+    # All pages resident with the access bits (the common LU case) take
+    # no fault: a present PTE is populated (PageTable.check_invariants),
+    # and next-touch marking and swap-out both clear PTE_PRESENT, so
+    # every selection in _fault_in_pages would come up empty.
+    if not ((flags & need_bits) == need_bits).all():
+        yield from _fault_in_pages(kernel, thread, vma, idxs, flags, write, batch)
+    if bytes_per_page > 0:
+        thread_node = kernel.machine.node_of_core(thread.core)
+        if kernel.access_profiler is not None:
+            pid = thread.process.pid
+            for idx in idxs:
+                kernel.access_profiler.record(pid, vma, int(idx), 1, thread_node)
+        cost = _access_cost_us(kernel, thread_node, vma.pt.node[idxs], bytes_per_page)
+        if cost > 0:
+            yield kernel.charge(tag, cost)
+
+
+def _fault_in_pages(kernel: Kernel, thread: "SimThread", vma, idxs, flags, write, batch):
+    """Service :func:`touch_pages`' faults, given the PTE ``flags`` of
+    ``idxs`` as gathered before any of them."""
     nt_sel = (flags & PTE_NEXTTOUCH) != 0
     unpop_sel = (vma.pt.frame[idxs] < 0) & ~nt_sel
     swap_table = getattr(vma.pt, "_swap_slots", None)
@@ -276,19 +296,10 @@ def touch_pages(
             yield from fault(kernel, thread, vma, pending[lo : lo + batch])
     # Whatever still lacks the permission bits now (e.g. read-only PTEs
     # on a writable VMA) goes through the precise per-page path.
-    flags = vma.pt.flags[idxs]
-    stale = idxs[(flags & need_bits) != need_bits]
+    need_bits = PTE_PRESENT | (PTE_WRITE if write else 0)
+    stale = idxs[(vma.pt.flags[idxs] & need_bits) != need_bits]
     for idx in stale:
         yield from handle_fault(kernel, thread, vma.addr_of_page(int(idx)), write)
-    if bytes_per_page > 0:
-        thread_node = kernel.machine.node_of_core(thread.core)
-        if kernel.access_profiler is not None:
-            pid = thread.process.pid
-            for idx in idxs:
-                kernel.access_profiler.record(pid, vma, int(idx), 1, thread_node)
-        cost = _access_cost_us(kernel, thread_node, vma.pt.node[idxs], bytes_per_page)
-        if cost > 0:
-            yield kernel.charge(tag, cost)
 
 
 def memcpy_range(kernel: Kernel, thread: "SimThread", dst: int, src: int, nbytes: int):

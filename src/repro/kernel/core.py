@@ -248,7 +248,8 @@ class Kernel:
             if frames.size == 0:
                 return
         owners = node_of_frame(frames)
-        for node in np.unique(owners):
+        counts = np.bincount(owners, minlength=self.machine.num_nodes)
+        for node in np.flatnonzero(counts):
             self.allocators[int(node)].free_many(frames[owners == node])
         if self.track_contents:
             for f in frames:

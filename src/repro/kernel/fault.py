@@ -321,7 +321,8 @@ def nt_fault_batch(
                 node=int(dest),
                 pages=int(stay_idxs.size),
             )
-    move_srcs = src_nodes[moving]
+    # Pages to copy per source node, visited in ascending node order.
+    src_counts = np.bincount(src_nodes[moving], minlength=kernel.machine.num_nodes)
     old_frames = vma.pt.frame[move_idxs].copy()
     if move_idxs.size:
         # Order-0 allocation goes through the per-cpu pageset fast
@@ -389,8 +390,8 @@ def nt_fault_batch(
         # default — see CostModel.nt_copy_locked_fraction).
         if move_idxs.size and cost.nt_copy_locked_fraction > 0:
             t0 = kernel.env.now
-            for src in np.unique(move_srcs):
-                count = int(np.count_nonzero(move_srcs == src))
+            for src in np.flatnonzero(src_counts):
+                count = int(src_counts[src])
                 nbytes = float(count) * PAGE_SIZE
                 ts = kernel.env.now
                 yield kernel.copy_pages_event(
@@ -415,8 +416,8 @@ def nt_fault_batch(
         if cost.nt_copy_locked_fraction < 1.0:
             # Tail of the copy proceeds without the PTL.
             t0 = kernel.env.now
-            for src in np.unique(move_srcs):
-                count = int(np.count_nonzero(move_srcs == src))
+            for src in np.flatnonzero(src_counts):
+                count = int(src_counts[src])
                 nbytes = float(count) * PAGE_SIZE
                 ts = kernel.env.now
                 yield kernel.copy_pages_event(

@@ -143,8 +143,10 @@ class FrameAllocator:
         if not np.all(self._allocated[idxs]):
             raise SimulationError(f"double free on node {self.node_id}")
         self._allocated[idxs] = False
-        self._free.extend(int(i) for i in idxs)
         self.total_frees += idxs.size
+        freed = idxs.tolist()
+        del idxs  # peak memory: the list replaces the array before the pool grows
+        self._free.extend(freed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FrameAllocator node={self.node_id} used={self.used}/{self.capacity}>"

@@ -1,5 +1,8 @@
 """Tests for the user memory-access paths (touch_range/touch_pages/memcpy)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -198,3 +201,78 @@ def test_contents_mode_required():
 
     with pytest.raises(SimulationError, match="track_contents"):
         drive(system, body)
+
+
+def _mixed_touch_pages_run(monkeypatch):
+    """Four ``touch_pages`` calls over one VMA whose pages start out in
+    every PTE state: resident writable (0..7), next-touch marked on
+    shared frames (8..23), swapped out (24..31), read-only COW
+    (32..47) and unpopulated (48..63). Returns the canonical end state
+    and how many calls took the fault path."""
+    from repro.kernel import access
+    from repro.kernel.swap import attach_swap
+
+    fault_calls = []
+    fault_in_pages = access._fault_in_pages
+
+    def counted(*args, **kwargs):
+        fault_calls.append(1)
+        return fault_in_pages(*args, **kwargs)
+
+    monkeypatch.setattr(access, "_fault_in_pages", counted)
+    system = System()
+    attach_swap(system.kernel)
+    proc = system.create_process("mix")
+    box = {}
+
+    def setup(t):
+        addr = yield from t.mmap(
+            64 * PAGE_SIZE, PROT_RW, policy=MemPolicy.interleave(0, 1, 2, 3), name="mix"
+        )
+        yield from t.touch(addr, 48 * PAGE_SIZE)
+        yield from t.fork()
+        yield from t.touch(addr, 8 * PAGE_SIZE)
+        yield from t.madvise(addr + 8 * PAGE_SIZE, 16 * PAGE_SIZE, Madvise.NEXTTOUCH)
+        yield from t.swap_out(addr + 24 * PAGE_SIZE, 8 * PAGE_SIZE)
+        box["vma"] = proc.addr_space.find_vma(addr)
+
+    drive(system, setup, process=proc)
+    vma = box["vma"]
+    strided = np.arange(0, 64, 3, dtype=np.int64)
+    every = np.arange(64, dtype=np.int64)
+
+    def toucher(t):
+        # Faults every class of page in ``strided``, then the same set
+        # again (all resident), then every page read-only (faults the
+        # rest), then every page again (resident, read-only COW too).
+        yield from t.touch_pages(vma, strided, write=True, bytes_per_page=64.0, batch=4)
+        yield from t.touch_pages(vma, strided, write=True, bytes_per_page=64.0, batch=4)
+        yield from t.touch_pages(vma, every, write=False, bytes_per_page=512.0)
+        yield from t.touch_pages(vma, every, write=False, bytes_per_page=512.0)
+
+    drive(system, toucher, core=4, process=proc)
+    kernel, pt = system.kernel, vma.pt
+    state = {
+        "flags": pt.flags.tolist(),
+        "frame": pt.frame.tolist(),
+        "node": pt.node.tolist(),
+        "swap": pt._swap_slots.tolist(),
+        "stats": dict(kernel.stats.flat()),
+        "ledger": {tag: repr(float(us)) for tag, us in sorted(kernel.ledger.totals.items())},
+        "counts": dict(sorted(kernel.ledger.counts.items())),
+        "now": repr(float(system.now)),
+    }
+    return state, len(fault_calls)
+
+
+def test_touch_pages_resident_early_exit_is_exact(monkeypatch):
+    """The all-resident early exit leaves PTEs, KernelStats, ledger and
+    clock exactly as the full fault selection did; the digest and clock
+    were recorded with the selection run on every call."""
+    state, fault_calls = _mixed_touch_pages_run(monkeypatch)
+    assert fault_calls == 2  # calls 2 and 4 take the early exit
+    stats = state["stats"]
+    assert stats["nt_faults"] and stats["pages_swapped_in"] and stats["cow_copied"]
+    assert state["now"] == "1836.5797866666665"
+    digest = hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
+    assert digest == "92026116dd9fbe812ebb02a4a16f2c1037da084708ca5d41907c3ac2f81d0e25"

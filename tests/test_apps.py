@@ -58,6 +58,29 @@ def test_lu_nexttouch_migrates_and_reports():
     assert not r.page_independent  # 256 * 8 = 2 KiB < page
 
 
+#: LUResult of small Table 1 rows as (elapsed_us, init_us,
+#: pages_migrated, nt_faults), floats as their repr; recorded with
+#: np.unique page-set unions and the full fault selection on every
+#: touch_pages call, which the host-cost shortcuts must reproduce.
+LU_PINS = {
+    (1024, 64, "static"): ("45622.47804912287", "2867.2", 0, 0),
+    (1024, 64, "nexttouch"): ("79700.88829729808", "2867.2", 11328, 15104),
+    (2048, 512, "static"): ("4663866.621840247", "11468.8", 0, 0),
+    (2048, 512, "nexttouch"): ("3532582.517144822", "11468.8", 10240, 15360),
+}
+
+
+@pytest.mark.parametrize("n, block, policy", sorted(LU_PINS))
+def test_lu_small_rows_pinned(n, block, policy):
+    """A shared-page and a page-independent row, both policies, match
+    their recorded results exactly."""
+    from repro.experiments.common import fresh_system
+
+    r = ThreadedLU(fresh_system(), n, block, policy=policy).run()
+    got = (repr(r.elapsed_us), repr(r.init_us), r.pages_migrated, r.nt_faults)
+    assert got == LU_PINS[(n, block, policy)]
+
+
 def test_lu_page_independence_flag():
     system = System()
     r = ThreadedLU(system, 1024, 512, policy="static").run()

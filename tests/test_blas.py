@@ -50,6 +50,36 @@ def test_block_pages_cover_matrix_exactly():
     assert all_pages[-1] == m.npages - 1
 
 
+@pytest.mark.parametrize(
+    "n, block, dtype_size",
+    [(4096, 64, 8), (4096, 256, 8), (8192, 512, 8), (4096, 64, 4), (4096, 1024, 4)],
+)
+def test_blocks_pages_equals_np_unique(n, block, dtype_size):
+    """The sort + keep-mask union matches ``np.unique`` element for
+    element and by dtype, on shared-page and page-independent layouts,
+    for the LU operand lists, single blocks and repeated blocks."""
+    m = BlockedMatrix(0, n, block, dtype_size=dtype_size)
+    last = m.nb - 1
+    lists = [
+        [(0, 0)],
+        [(last, last)],
+        [(1, 1), (1, 2)],
+        [(2, 1), (1, 1)],
+        [(2, 1), (1, 2), (2, 2)],
+        [(0, 3), (0, 3)],
+        [(1, 2), (0, 0), (1, 2), (1, 3)],
+        [(i, j) for i in range(min(m.nb, 4)) for j in range(min(m.nb, 4))],
+    ]
+    for blocks in lists:
+        union = m.blocks_pages(blocks)
+        expected = np.unique(np.concatenate([m.block_pages(i, j) for i, j in blocks]))
+        assert union.dtype == expected.dtype == np.int64
+        np.testing.assert_array_equal(union, expected)
+    # Sorting the concatenation in place never disturbs the cache.
+    assert np.array_equal(m.block_pages(1, 2), np.unique(m.block_pages(1, 2)))
+    assert m.blocks_pages([]).dtype == np.int64
+
+
 def test_trailing_submatrix_range():
     m = BlockedMatrix(0, 2048, 512, dtype_size=8)
     addr, nbytes = m.trailing_submatrix_range(0)

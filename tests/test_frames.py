@@ -105,3 +105,21 @@ def test_capacity_from_bytes():
 
 def test_stride_large_enough_for_8gb_nodes():
     assert (8 << 30) // PAGE_SIZE < (1 << NODE_STRIDE_SHIFT)
+
+
+def test_free_many_keeps_python_ints_in_order():
+    """``free_many`` pushes plain ints in array order, so later
+    ``alloc``/``alloc_seq``/``alloc_many`` hand out the same frame ids
+    as a per-element free loop would."""
+    fa = make(node=1, pages=64)
+    frames = fa.alloc_many(40)
+    order = np.array([7, 3, 30, 0, 12, 39, 21, 5, 16, 2], dtype=np.int64)
+    fa.free_many(frames[order])
+    assert fa._free == [int(i) for i in order]
+    assert all(type(i) is int for i in fa._free)
+    base = 1 << NODE_STRIDE_SHIFT
+    assert fa.alloc() == base + 2  # LIFO: the last freed frame
+    assert fa.alloc_seq(3).tolist() == [base + 16, base + 5, base + 21]
+    assert fa.alloc_many(2).tolist() == [base + 12, base + 39]
+    assert fa._free == [7, 3, 30, 0]
+    assert fa.total_frees == 10

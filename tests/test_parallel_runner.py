@@ -19,7 +19,13 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.experiments import fig4_throughput, fig5_nexttouch, fig7_scalability, fig_serve
+from repro.experiments import (
+    fig4_throughput,
+    fig5_nexttouch,
+    fig7_scalability,
+    fig_serve,
+    table1_lu,
+)
 from repro.experiments.cli import main as cli_main
 from repro.experiments.parallel import (
     PARALLEL_EXPERIMENTS,
@@ -30,6 +36,7 @@ from repro.experiments.parallel import (
 
 FIG_COUNTS = [16, 64]
 SERVE_OPTS = {"tenants": 2, "keys": 32, "clients": 1, "requests": 60}
+TABLE1_OPTS = {"configs": [(1024, 128), (1024, 512)], "num_threads": 4}
 
 
 def _dump(result) -> str:
@@ -124,8 +131,38 @@ def test_serve_matches_serial(seed):
     )
 
 
+def test_table1_workers_identical():
+    """One point per Table 1 row: result and merged manifest match
+    across worker counts and the serial run."""
+    one = run_sweep("table1", workers=1, collect=True, **TABLE1_OPTS)
+    two = run_sweep("table1", workers=2, collect=True, **TABLE1_OPTS)
+    assert _dump(one.results[0]) == _dump(two.results[0])
+    assert _dump(one.results[0]) == _dump(table1_lu.run(**TABLE1_OPTS))
+    assert json.dumps(one.manifest, sort_keys=True) == json.dumps(two.manifest, sort_keys=True)
+    assert one.manifest["num_points"] == 2
+
+
+def test_workers_json_keeps_non_sweep_artifacts(tmp_path):
+    """``--workers`` runs a non-sweep experiment serially and writes
+    the same artifact set as the serial CLI, equal but for the
+    host-dependent manifest fields."""
+    serial, sharded = tmp_path / "serial", tmp_path / "sharded"
+    assert cli_main(["blas1", "--json", str(serial)]) == 0
+    assert cli_main(["blas1", "--workers", "2", "--json", str(sharded)]) == 0
+    names = sorted(os.listdir(serial))
+    assert names == ["blas1.json", "blas1.manifest.json", "blas1.metrics.json"]
+    assert sorted(os.listdir(sharded)) == names
+    for name in names:
+        docs = [json.loads((d / name).read_text()) for d in (serial, sharded)]
+        if name.endswith(".manifest.json"):
+            for doc in docs:
+                doc.pop("wall_time_s")
+                doc.pop("argv")
+        assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+
+
 def test_parallel_experiments_registry():
-    assert PARALLEL_EXPERIMENTS == ("fig4", "fig5", "fig7", "serve")
+    assert PARALLEL_EXPERIMENTS == ("fig4", "fig5", "fig7", "serve", "table1")
 
 
 # ------------------------------------------------------ dead workers ----
