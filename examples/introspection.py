@@ -2,16 +2,17 @@
 """Introspection tour: what the simulated machine can tell you.
 
 Runs a small mixed workload (first-touch, synchronous migration,
-next-touch) under an event tracer and prints every report the library
-offers: the Figure-3-style topology, a numastat view, the cost ledger,
-lock contention, link utilization, and an ASCII activity timeline.
+next-touch) under a tracepoint recorder and prints every report the
+library offers: the Figure-3-style topology, a numastat view, the cost
+ledger, lock contention, link utilization, and an ASCII activity
+timeline of the recorded ``ledger:charge`` events.
 
 Run: ``python examples/introspection.py``
 """
 
 from repro import Madvise, MemPolicy, PROT_RW, System
-from repro.report import system_report, topology_report
-from repro.sim.trace import Tracer
+from repro.obs import record_tracepoints
+from repro.report import system_report, timeline, topology_report
 from repro.util import MiB
 
 
@@ -20,8 +21,6 @@ def main() -> None:
     print(topology_report(system.machine))
     print()
 
-    tracer = Tracer()
-    tracer.attach(system.kernel)
     proc = system.create_process("tour")
     nbytes = 8 * MiB
 
@@ -38,12 +37,14 @@ def main() -> None:
         yield from t.migrate_to(12)
         yield from t.touch(addr, nbytes, bytes_per_page=64, batch=64)
 
-    thread = system.spawn(proc, 0, workload)
-    system.run_to(thread.join())
+    with record_tracepoints() as recorder:
+        thread = system.spawn(proc, 0, workload)
+        system.run_to(thread.join())
 
     print(system_report(system))
     print()
-    print(tracer.timeline(width=64, groups=["fault", "access", "move_pages", "madvise", "nt"]))
+    charges = recorder.select("ledger:charge")
+    print(timeline(charges, width=64, groups=["fault", "access", "move_pages", "madvise", "nt"]))
 
 
 if __name__ == "__main__":

@@ -126,7 +126,6 @@ def serve_turbo_ok(kernel) -> bool:
         and not kernel.force_slow_path
         and not kernel.debug_checks
         and not tracepoints.tracepoints_enabled()
-        and not kernel.ledger.traced
     )
 
 

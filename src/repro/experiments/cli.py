@@ -27,6 +27,7 @@ Structured artifacts (schemas in ``docs/observability.md``)::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -177,7 +178,7 @@ def _write_observation(
         print(f"[{name}: no simulated systems, no run artifacts]", file=sys.stderr)
         return
     profile = None
-    if recorder is not None:
+    if args.tracepoints is not None:
         from ..obs import PhaseProfile
 
         profile = PhaseProfile.from_events(recorder.events)
@@ -186,7 +187,7 @@ def _write_observation(
         extra = {}
         if invariants is not None:
             extra["invariants"] = invariants
-        if recorder is not None:
+        if profile is not None:
             extra["tracepoints"] = recorder.summary()
             extra["phases"] = profile.summary()
         # Results can contribute their own manifest block (e.g. the
@@ -198,7 +199,6 @@ def _write_observation(
         manifest = run_manifest(
             obs.systems,
             experiment=name,
-            tracers=obs.tracers,
             wall_time_s=wall_time_s,
             argv=list(sys.argv[1:]),
             extra=extra or None,
@@ -218,13 +218,18 @@ def _write_observation(
         _write_run_json(args.json, name, manifest, metrics)
     if args.trace is not None:
         os.makedirs(args.trace, exist_ok=True)
-        events = obs.chrome_trace()
+        events = obs.chrome_trace(recorder)
         if profile is not None:
-            events.extend(profile.chrome_events())
+            events = itertools.chain(events, profile.chrome_events())
         trace_path = write_chrome_trace(
             os.path.join(args.trace, f"{name}.trace.json"), events
         )
         print(f"[trace: {trace_path}]", file=sys.stderr)
+    if recorder is not None and recorder.dropped:
+        print(
+            f"[{name}: tracepoint recorder dropped {recorder.dropped} event(s)]",
+            file=sys.stderr,
+        )
     if args.timeseries is not None:
         _write_timeseries(obs, name, args.timeseries)
 
@@ -310,11 +315,6 @@ def _write_tracepoints(obs, recorder, profile, name: str, outdir: str) -> None:
     vmstat_path = os.path.join(outdir, f"{name}.vmstat.txt")
     with open(vmstat_path, "w") as fh:
         fh.write("\n".join(vmstat_lines) + "\n")
-    if recorder.dropped:
-        print(
-            f"[{name}: tracepoint recorder dropped {recorder.dropped} event(s)]",
-            file=sys.stderr,
-        )
     for path in (maps_path, vmstat_path):
         print(f"[tracepoints: {path}]", file=sys.stderr)
 
@@ -722,8 +722,11 @@ def _run_serial(name: str, args) -> int:
         or args.check
     )
     start = time.time()
+    # --trace and --tracepoints read one recorder: the Chrome trace is
+    # its ledger:charge events.
+    recording = args.trace is not None or args.tracepoints is not None
     with (observe() if observing else nullcontext()) as obs, (
-        record_tracepoints() if args.tracepoints is not None else nullcontext()
+        record_tracepoints() if recording else nullcontext()
     ) as recorder:
         results = _maybe_profile(args, name, lambda: _RUNNERS[name](args))
     _emit_results(results, args)

@@ -2,10 +2,10 @@
 
 The paper's Figures 1 and 2 are sequence diagrams of the user-space
 and kernel next-touch implementations. Here we *execute* a one-page
-next-touch under a tracer and render the actual sequence of charged
-operations — if the implementation deviated from the paper's diagrams,
-the printed flow (and the assertions in ``benchmarks/test_flows.py``)
-would show it.
+next-touch under a tracepoint recorder and render the actual sequence
+of charged operations (its ``ledger:charge`` events) — if the
+implementation deviated from the paper's diagrams, the printed flow
+(and the assertions in ``benchmarks/test_flows.py``) would show it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from ..kernel.mempolicy import MemPolicy
 from ..kernel.syscalls import Madvise
 from ..kernel.vma import PROT_RW
 from ..nexttouch.user import UserNextTouch
-from ..sim.trace import Tracer
+from ..obs.tracepoints import TracepointEvent, current_recorder, record_tracepoints
 from ..util.units import PAGE_SIZE
 from .common import fresh_system, run_thread
 
@@ -44,10 +44,10 @@ KERNEL_STEPS = {
 }
 
 
-def _traced_run(body_factory) -> Tracer:
+def _traced_run(body_factory) -> list[TracepointEvent]:
+    """The toucher's ``ledger:charge`` events, in charge order. An
+    enclosing recorder (``flows --trace``) gets them too."""
     system = fresh_system()
-    tracer = Tracer()
-    tracer.attach(system.kernel)
     proc = system.create_process("flow")
     shared = {}
 
@@ -57,16 +57,22 @@ def _traced_run(body_factory) -> Tracer:
         shared["addr"] = addr
         shared["proc"] = proc
 
-    run_thread(system, owner, core=0, process=proc)
-    toucher = body_factory(system, shared)
-    # Only the marked->touched flow should appear in the rendering.
-    tracer._samples.clear()
-    run_thread(system, toucher, core=4, process=proc)  # node 1
-    return tracer
+    with record_tracepoints(recorder=current_recorder()) as recorder:
+        run_thread(system, owner, core=0, process=proc)
+        toucher = body_factory(system, shared)
+        # Only the marked->touched flow should appear in the rendering.
+        start = len(recorder.events)
+        run_thread(system, toucher, core=4, process=proc)  # node 1
+    index = recorder.system_index(system.kernel)
+    return [
+        event
+        for event in recorder.events[start:]
+        if event.name == "ledger:charge" and event.sys == index
+    ]
 
 
-def trace_user_flow() -> Tracer:
-    """Execute a one-page user-space next-touch; returns the trace."""
+def trace_user_flow() -> list[TracepointEvent]:
+    """Execute a one-page user-space next-touch; returns its charges."""
 
     def factory(system, shared):
         unt = UserNextTouch(shared["proc"])
@@ -81,8 +87,8 @@ def trace_user_flow() -> Tracer:
     return _traced_run(factory)
 
 
-def trace_kernel_flow() -> Tracer:
-    """Execute a one-page kernel next-touch; returns the trace."""
+def trace_kernel_flow() -> list[TracepointEvent]:
+    """Execute a one-page kernel next-touch; returns its charges."""
 
     def factory(system, shared):
         def body(t):
@@ -94,14 +100,15 @@ def trace_kernel_flow() -> Tracer:
     return _traced_run(factory)
 
 
-def flow_steps(tracer: Tracer, steps: dict[str, str]) -> list[str]:
-    """Map the trace onto the paper's step labels, in time order,
-    collapsing repeats."""
+def flow_steps(charges, steps: dict[str, str]) -> list[str]:
+    """Map ``ledger:charge`` events onto the paper's step labels, in
+    charge order, collapsing repeats."""
     out: list[str] = []
-    for sample in tracer.samples:
+    for charge in charges:
+        tag = charge.fields["tag"]
         label = None
         for prefix, text in steps.items():
-            if sample.tag.startswith(prefix):
+            if tag.startswith(prefix):
                 label = text
                 break
         if label and (not out or out[-1] != label):

@@ -125,7 +125,6 @@ def _run_point(spec: dict) -> dict:
         run_manifest(
             obs.systems,
             experiment=spec["experiment"],
-            tracers=obs.tracers,
             seed=spec["payload"].get("seed"),
         )
         if obs.systems

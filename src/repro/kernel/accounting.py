@@ -4,7 +4,9 @@ Every charged operation carries a component tag (``"move_pages.copy"``,
 ``"nt.control"``, ``"mprotect.mark"``, ...). Figure 6 of the paper — the
 next-touch cost-breakdown percentages — is produced directly from this
 ledger rather than from a separate model, so the breakdown always
-reflects what the simulated implementation actually did.
+reflects what the simulated implementation actually did. While a
+tracepoint recorder is attached, each charge is also emitted as a
+``ledger:charge`` tracepoint (Figures 1-2 and ``--trace`` read those).
 """
 
 from __future__ import annotations
@@ -12,21 +14,21 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Mapping
 
+from ..obs import tracepoints
+# Mutated, never rebound: ``add`` tests its truthiness, one global lookup.
+from ..obs.tracepoints import _STACK as _RECORDERS
+
 __all__ = ["Ledger"]
 
 
 class Ledger:
-    """Accumulates (tag -> total µs, count) pairs."""
+    """Accumulates (tag -> total µs, count) pairs; ``kernel`` (the
+    clock and identity of ``ledger:charge`` events) may be ``None``."""
 
-    def __init__(self) -> None:
+    def __init__(self, kernel=None) -> None:
+        self.kernel = kernel
         self.totals: dict[str, float] = defaultdict(float)
         self.counts: dict[str, int] = defaultdict(int)
-        #: True while a :class:`~repro.sim.trace.Tracer` wraps
-        #: :meth:`add`. ``Kernel.turbo_ok`` reads this flag — rather
-        #: than sniffing the instance ``__dict__`` — to keep the
-        #: wall-clock fast paths off while every charge must be
-        #: individually observable.
-        self.traced = False
         #: Optional ``(prefixes, sink)`` installed by the serve turbo
         #: controller (:mod:`repro.apps.servops`): while set, adds whose
         #: tag matches a prefix are routed to ``sink(tag, us)`` instead
@@ -44,6 +46,10 @@ class Ledger:
             return
         self.totals[tag] += duration_us
         self.counts[tag] += 1
+        if _RECORDERS and self.kernel is not None:
+            tracepoints.emit(
+                "ledger:charge", self.kernel, tag=tag, dur_us=float(duration_us)
+            )
 
     def begin_defer(self, prefixes: tuple[str, ...], sink) -> None:
         """Route adds matching ``prefixes`` to ``sink`` until

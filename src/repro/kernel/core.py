@@ -89,7 +89,7 @@ class Kernel:
         self.env = env
         self.machine = machine
         self.cost = machine.cost
-        self.ledger = Ledger()
+        self.ledger = Ledger(self)
         self.stats = KernelStats()
         self.numastat = NumaStats(machine.num_nodes)
         #: Whether page contents are carried (tests) or elided (speed).
@@ -179,9 +179,9 @@ class Kernel:
         state — before the fast path schedules its own completion, so
         replaying a multi-event sequence inline is indistinguishable
         from stepping through it. The remaining checks keep every
-        observer (tracer-sampled ledger, tracepoint recorders, debug
-        invariant sweeps) on the reference path, where per-event
-        timestamps still exist.
+        observer (tracepoint recorders, which also carry the ledger's
+        ``ledger:charge`` stream, and debug invariant sweeps) on the
+        reference path, where per-event timestamps still exist.
         """
         return (
             self._fastpath_enabled
@@ -189,7 +189,6 @@ class Kernel:
             and not self.debug_checks
             and self.env.idle
             and not tracepoints.tracepoints_enabled()
-            and not self.ledger.traced  # Tracer attached
         )
 
     # ------------------------------------------------------------ frames -----

@@ -3,18 +3,18 @@
 Everything a run produces beyond its ASCII tables lives here:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of named
-  counters/gauges/histograms that the kernel, ledger, tracer, lock
-  stats, numastat and the link fabric publish into;
+  counters/gauges/histograms that the kernel, ledger, lock stats,
+  numastat and the link fabric publish into;
 * :mod:`repro.obs.context` — an ``observe()`` context manager that
-  attaches a :class:`~repro.sim.trace.Tracer` to every
-  :class:`~repro.system.System` created inside it;
+  collects every :class:`~repro.system.System` created inside it
+  (attaching nothing, so observed runs keep their fast paths);
 * :mod:`repro.obs.chrometrace` — Chrome/Perfetto trace-event JSON
-  export of tracer samples;
+  export of recorded ``ledger:charge`` events;
 * :mod:`repro.obs.manifest` — the full-run ``run_manifest`` artifact
   (machine, cost model, git revision, kernel stats, ledger, locks,
   link utilisations, merged metrics snapshot);
 * :mod:`repro.obs.tracepoints` — named kernel tracepoints
-  (``fault:enter``, ``migrate:phase_copy``, ...) with zero-cost
+  (``fault:enter``, ``migrate:phase_copy``, ``ledger:charge``, ...) with zero-cost
   dispatch while disabled and a bounded recorder behind
   :func:`record_tracepoints`;
 * :mod:`repro.obs.profile` — the phase profiler folding a recorded

@@ -1,13 +1,13 @@
-"""Chrome/Perfetto trace-event export of tracer samples.
+"""Chrome/Perfetto trace-event export of ledger charges.
 
-The :class:`~repro.sim.trace.Tracer` already holds exactly what the
-trace-event format wants — ``(start, duration, tag)`` — so the export
-is a straight mapping to *complete* events (``"ph": "X"``):
+A ``ledger:charge`` tracepoint event already holds exactly what the
+trace-event format wants — start ``t_us``, ``dur_us`` and ``tag`` — so
+the export is a straight mapping to *complete* events (``"ph": "X"``):
 
 * ``ts``/``dur`` are microseconds in both formats, no conversion;
 * the tag's first dotted component (``move_pages``, ``nt``, ``blas``)
   becomes the event category and its own thread row, so Perfetto lays
-  the run out like :meth:`Tracer.timeline` does;
+  the run out like :func:`repro.report.timeline` does;
 * each simulated system maps to one ``pid``.
 
 The output is the JSON-array flavour of the format: every element has
@@ -18,6 +18,7 @@ directly in https://ui.perfetto.dev or ``chrome://tracing``.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import Iterable, Optional
 
 __all__ = ["chrome_trace_events", "write_chrome_trace"]
@@ -28,18 +29,18 @@ def _group(tag: str) -> str:
 
 
 def chrome_trace_events(
-    samples: Iterable,
+    charges: Iterable,
     *,
     pid: int = 0,
     process_name: Optional[str] = None,
 ) -> list[dict]:
-    """Trace events for an iterable of ``TraceSample``-likes.
+    """Trace events for an iterable of ``ledger:charge`` events.
 
-    Samples need ``start_us``, ``duration_us`` and ``tag`` attributes.
-    Thread ids are assigned per top-level tag group, in first-seen
-    order; ``thread_name`` metadata rows label them.
+    Each charge is a :class:`~repro.obs.tracepoints.TracepointEvent`
+    (``t_us`` plus ``tag``/``dur_us`` fields). Thread ids are assigned
+    per top-level tag group, in first-seen order; ``thread_name``
+    metadata rows label them.
     """
-    samples = list(samples)
     tids: dict[str, int] = {}
     events: list[dict] = []
     if process_name is not None:
@@ -54,8 +55,9 @@ def chrome_trace_events(
                 "args": {"name": process_name},
             }
         )
-    for sample in samples:
-        group = _group(sample.tag)
+    for charge in charges:
+        tag = charge.fields["tag"]
+        group = _group(tag)
         tid = tids.get(group)
         if tid is None:
             tid = tids[group] = len(tids)
@@ -72,11 +74,11 @@ def chrome_trace_events(
             )
         events.append(
             {
-                "name": sample.tag,
+                "name": tag,
                 "cat": group,
                 "ph": "X",
-                "ts": float(sample.start_us),
-                "dur": float(sample.duration_us),
+                "ts": float(charge.t_us),
+                "dur": float(charge.fields["dur_us"]),
                 "pid": pid,
                 "tid": tid,
             }
@@ -84,8 +86,18 @@ def chrome_trace_events(
     return events
 
 
-def write_chrome_trace(path, events: list[dict]) -> str:
-    """Write an event list as a ``.trace.json`` file; returns the path."""
+def write_chrome_trace(path, events: Iterable[dict]) -> str:
+    """Write events as a ``.trace.json`` file; returns the path.
+
+    Byte-identical to ``json.dump(list(events), fh)``, but each chunk
+    goes through the C encoder, and a generator is never materialised.
+    """
+    events = iter(events)
     with open(path, "w") as fh:
-        json.dump(events, fh)
+        fh.write("[")
+        separator = ""
+        while chunk := list(islice(events, 4096)):
+            fh.write(separator + ", ".join(map(json.dumps, chunk)))
+            separator = ", "
+        fh.write("]")
     return str(path)

@@ -133,7 +133,6 @@ def run_manifest(
     systems: Sequence,
     *,
     experiment: Optional[str] = None,
-    tracers: Optional[Sequence] = None,
     seed: Optional[int] = None,
     wall_time_s: Optional[float] = None,
     argv: Optional[Sequence[str]] = None,
@@ -143,10 +142,8 @@ def run_manifest(
 
     Counter-like quantities (kernel stats, numastat, ledger) are summed
     across systems; link utilisations report the per-link peak; the
-    lock table merges by lock name. ``tracers`` (parallel to
-    ``systems``, e.g. from an :class:`~repro.obs.context.Observation`)
-    adds trace health to the metrics snapshot. All ``systems`` must
-    share one machine profile — the manifest describes the first.
+    lock table merges by lock name. All ``systems`` must share one
+    machine profile — the manifest describes the first.
     """
     from .. import __version__
     from .metrics import merge_snapshots, system_metrics
@@ -154,9 +151,6 @@ def run_manifest(
     systems = list(systems)
     if not systems:
         raise ValueError("run_manifest needs at least one system")
-    tracer_list = list(tracers) if tracers is not None else [None] * len(systems)
-    if len(tracer_list) != len(systems):
-        raise ValueError("tracers must parallel systems")
     manifest = {
         "schema": SCHEMA,
         "experiment": experiment,
@@ -178,8 +172,7 @@ def run_manifest(
         "locks": lock_table(systems),
         "links": _peak_links(systems),
         "metrics": merge_snapshots(
-            system_metrics(system, tracer).snapshot()
-            for system, tracer in zip(systems, tracer_list)
+            system_metrics(system).snapshot() for system in systems
         ),
     }
     if extra:

@@ -33,7 +33,6 @@ __all__ = [
     "publish_kernel_stats",
     "publish_numastat",
     "publish_ledger",
-    "publish_tracer",
     "publish_locks",
     "publish_fabric",
 ]
@@ -101,21 +100,12 @@ class Histogram:
         self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        if len(self._reservoir) < self.RESERVOIR_SIZE:
-            self._reservoir.append(value)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < self.RESERVOIR_SIZE:
-                self._reservoir[slot] = value
+        self.observe_many((value,))
 
     def observe_many(self, values) -> None:
-        """Observe a sequence of values, bit-identically to a scalar
-        :meth:`observe` loop (pinned by ``tests/test_obs_metrics.py``).
+        """Observe a sequence of values in order; :meth:`observe` is the
+        one-value case (both call shapes are pinned bit-identical to a
+        scalar reference loop by ``tests/test_serve_equivalence.py``).
 
         The reservoir RNG is Python's ``random.Random`` — one
         ``randrange`` per post-fill value, in stream order — so this is
@@ -342,17 +332,6 @@ def publish_ledger(registry: MetricsRegistry, ledger) -> None:
     registry.counter("ledger.grand_total_us").inc(ledger.total())
 
 
-def publish_tracer(registry: MetricsRegistry, tracer) -> None:
-    """Tracer health: retained samples, drops, traced span."""
-    registry.gauge("trace.samples").set(len(tracer.samples))
-    registry.counter("trace.dropped").inc(tracer.dropped)
-    lo, hi = tracer.span()
-    registry.gauge("trace.span_us").set(hi - lo)
-    durations = registry.histogram("trace.sample_duration_us")
-    for sample in tracer.samples:
-        durations.observe(sample.duration_us)
-
-
 def publish_locks(registry: MetricsRegistry, system) -> None:
     """Aggregate lock contention over every kernel/process lock."""
     from ..report import collect_locks  # local import avoids a cycle
@@ -379,7 +358,7 @@ def publish_fabric(registry: MetricsRegistry, fabric) -> None:
         registry.gauge(f"link.utilization.{a}->{b}").set(util)
 
 
-def system_metrics(system, tracer=None) -> MetricsRegistry:
+def system_metrics(system) -> MetricsRegistry:
     """One registry with every subsystem of ``system`` published."""
     registry = MetricsRegistry()
     kernel = system.kernel
@@ -388,8 +367,6 @@ def system_metrics(system, tracer=None) -> MetricsRegistry:
     publish_ledger(registry, kernel.ledger)
     publish_locks(registry, system)
     publish_fabric(registry, kernel.fabric)
-    if tracer is not None:
-        publish_tracer(registry, tracer)
     registry.gauge("sim.time_us").set(system.now)
     registry.counter("sim.events_processed").inc(system.env.events_processed)
     return registry

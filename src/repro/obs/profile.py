@@ -192,7 +192,9 @@ class PhaseProfile:
         """Phase and fault spans as Chrome-trace complete events.
 
         Each simulated system keeps its pid from the recorder's
-        first-seen order (matching ``Observation.chrome_trace``);
+        first-seen order (the same as ``Observation.chrome_trace``'s
+        whenever every observed system charges time, as every system
+        that runs anything does);
         profiler rows use tids from :data:`_TID_BASE` up with ``tp:``
         thread names, so both exports can be concatenated into one
         trace file.

@@ -2,7 +2,7 @@
 
 The paper's claim is that migration cost must be *measured* to be
 managed — but until this module, looking at the kernel meant slowing
-it down: attaching a tracer or tracepoint recorder disengages every
+it down: attaching a tracepoint recorder disengages every
 wall-clock fast path in ``Kernel.turbo_ok()``. :class:`KernelStats`
 is the always-on alternative: a block of plain-integer monotonic
 counters that both the slow per-page paths and the ``runops.py``

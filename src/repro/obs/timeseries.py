@@ -131,7 +131,7 @@ def chrome_counter_events(
     """Render a :meth:`TimeSeriesSampler.to_dict` series as Chrome
     trace counter events (``"ph": "C"``) — one counter track per
     series name, suitable for ``write_chrome_trace`` alongside the
-    tracer's phase slices."""
+    ``--trace`` charge slices."""
     events: list = []
     if process_name is not None:
         events.append(

@@ -20,13 +20,14 @@ kernel the same facility:
 
 Timestamps are simulated microseconds (``kernel.env.now``). Events
 from multiple kernels interleave in one recorder; each kernel gets a
-small integer ``sys`` index in first-seen order, matching the pid
-assignment of :meth:`repro.obs.context.Observation.chrome_trace`.
+small integer ``sys`` index in first-seen order.
 
-The event stream is consumed by :mod:`repro.obs.profile` (phase
-attribution, latency histograms, flow matrices) and
-:mod:`repro.obs.procfs` (placement timeline), and can be dumped as
-JSON lines via :func:`write_events_jsonl`.
+Ledger charges are tracepoints too (``ledger:charge``, emitted by
+:meth:`repro.kernel.accounting.Ledger.add`). The stream is consumed by
+:mod:`repro.obs.profile` (phase attribution, latency histograms, flow
+matrices), :mod:`repro.obs.procfs` (placement timeline) and the
+``--trace`` export (:meth:`repro.obs.context.Observation.chrome_trace`),
+and can be dumped as JSON lines via :func:`write_events_jsonl`.
 """
 
 from __future__ import annotations
@@ -146,6 +147,12 @@ _register(
     "fork duplicated an address space copy-on-write",
 )
 _register(
+    "ledger:charge",
+    ("tag", "dur_us"),
+    "simulated time charged to the kernel's cost ledger under a component "
+    "tag (one event per Ledger.add; Figures 1, 2 and 6 read this stream)",
+)
+_register(
     "serve:request",
     ("tenant", "client", "key", "node", "write", "dur_us"),
     "a KV request completed end-to-end (simulated service latency)",
@@ -157,9 +164,10 @@ _register(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TracepointEvent:
-    """One emitted event: name, simulated time, kernel index, fields."""
+    """One emitted event: name, simulated time, kernel index, fields.
+    Read-only by convention (a frozen ``__init__`` costs 3x more)."""
 
     name: str
     t_us: float
@@ -177,8 +185,9 @@ class TracepointEvent:
 class TracepointRecorder:
     """Bounded in-memory sink for tracepoint events.
 
-    Events beyond ``capacity`` are counted in :attr:`dropped` rather
-    than retained, so a runaway workload cannot exhaust memory.
+    Each system (kernel) keeps its first ``capacity`` events; the rest
+    are counted in :attr:`dropped`, so a runaway workload cannot
+    exhaust memory while a sweep keeps every point's whole stream.
     Field sets are validated against the registry on every emit —
     instrumentation drift fails loudly instead of producing
     unparseable streams.
@@ -191,6 +200,7 @@ class TracepointRecorder:
         self.events: list[TracepointEvent] = []
         self.dropped = 0
         self._systems: dict[int, int] = {}
+        self._kept: list[int] = []  # events retained, per system index
 
     def emit(self, name: str, kernel, **fields) -> None:
         tp = TRACEPOINTS.get(name)
@@ -200,13 +210,22 @@ class TracepointRecorder:
             raise SimulationError(
                 f"tracepoint {name!r}: fields {sorted(fields)} != schema {sorted(tp.fields)}"
             )
-        sys_index = self._systems.setdefault(id(kernel), len(self._systems))
-        if len(self.events) >= self.capacity:
+        sys_index = self._systems.get(id(kernel))
+        if sys_index is None:
+            sys_index = self._systems[id(kernel)] = len(self._kept)
+            self._kept.append(0)
+        kept = self._kept[sys_index]
+        if kept >= self.capacity:
             self.dropped += 1
             return
+        self._kept[sys_index] = kept + 1
         self.events.append(
             TracepointEvent(name, float(kernel.env.now), sys_index, fields)
         )
+
+    def system_index(self, kernel) -> Optional[int]:
+        """The ``sys`` of ``kernel``'s events (``None``: none recorded)."""
+        return self._systems.get(id(kernel))
 
     # ------------------------------------------------------------ queries ----
     def __len__(self) -> int:

@@ -9,6 +9,8 @@ did.
 
 from __future__ import annotations
 
+from typing import Iterable, Optional
+
 from .system import System
 from .util.tables import render_table
 from .util.units import PAGE_SIZE, fmt_bytes
@@ -20,6 +22,7 @@ __all__ = [
     "memory_report",
     "ledger_report",
     "topology_report",
+    "timeline",
 ]
 
 
@@ -153,6 +156,29 @@ def ledger_report(system: System, top: int = 12) -> str:
         rows,
         title=f"cost ledger (top {len(rows)} of {len(totals)} tags)",
     )
+
+
+def timeline(charges: Iterable, width: int = 72, groups: Optional[Iterable[str]] = None) -> str:
+    """ASCII activity bars per tag group over recorded ``ledger:charge``
+    events — a poor man's Gantt chart of where simulated time went."""
+    spans = [(e.t_us, e.t_us + e.fields["dur_us"], e.fields["tag"]) for e in charges]
+    lo = min((start for start, _, _ in spans), default=0.0)
+    hi = max((end for _, end, _ in spans), default=0.0)
+    if hi <= lo:
+        return "trace: empty"
+    scale = width / (hi - lo)
+    lines = [f"trace span: {lo:.1f} .. {hi:.1f} us ({hi - lo:.1f} us)"]
+    for group in groups or sorted({tag.split(".")[0] for _, _, tag in spans}):
+        cells = [0.0] * width
+        for start, end, tag in spans:
+            if tag.startswith(group):
+                a = int((start - lo) * scale)
+                for i in range(a, min(max(a + 1, int((end - lo) * scale)), width)):
+                    cells[i] += 1.0
+        peak = max(cells)
+        bar = "".join(" .:#"[min(3, int(3 * c / peak + (c > 0)))] if peak else " " for c in cells)
+        lines.append(f"{group:>12} |{bar}|")
+    return "\n".join(lines)
 
 
 def system_report(system: System) -> str:

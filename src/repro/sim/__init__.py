@@ -3,7 +3,6 @@
 from .engine import SEC, MSEC, USEC, AllOf, AnyOf, Environment, Event, Interrupt, Process, Timeout
 from .resources import BandwidthResource, Barrier, LockStats, Mutex, RwLock, Semaphore
 from .rng import DEFAULT_SEED, make_rng
-from .trace import Tracer, TraceSample
 
 __all__ = [
     "Environment",
@@ -24,6 +23,4 @@ __all__ = [
     "LockStats",
     "make_rng",
     "DEFAULT_SEED",
-    "Tracer",
-    "TraceSample",
 ]

@@ -45,8 +45,8 @@ class System:
             debug_checks=debug_checks,
         )
         self.scheduler = Scheduler(self.machine)
-        # Inside an obs.observe() block every system is born traced —
-        # that is how `repro-experiments ... --trace/--json` observes
+        # Inside an obs.observe() block every system is registered —
+        # that is how `repro-experiments ... --json/--trace` observes
         # experiments that build their systems internally.
         observation = current_observation()
         if observation is not None:

@@ -19,14 +19,14 @@ def docs_check():
 def test_check_dotted_resolves_modules_and_attributes(docs_check):
     assert docs_check.check_dotted("repro.obs.metrics")
     assert docs_check.check_dotted("repro.obs.metrics.MetricsRegistry")
-    assert docs_check.check_dotted("repro.sim.trace.Tracer.to_chrome_trace")
+    assert docs_check.check_dotted("repro.obs.context.Observation.chrome_trace")
     assert docs_check.check_dotted("repro.hardware.timing.CostModel")
 
 
 def test_check_dotted_rejects_broken_references(docs_check):
     assert not docs_check.check_dotted("repro.nonexistent_module")
     assert not docs_check.check_dotted("repro.obs.metrics.NoSuchClass")
-    assert not docs_check.check_dotted("repro.sim.trace.Tracer.no_such_method")
+    assert not docs_check.check_dotted("repro.obs.context.Observation.no_such_method")
 
 
 def test_check_path(docs_check):
@@ -52,6 +52,21 @@ def test_invariant_contract_detects_drift(docs_check, monkeypatch):
     monkeypatch.setitem(invariants.INVARIANTS, "ghost_checker", lambda k: [])
     errors = docs_check.check_invariant_contract()
     assert any("ghost_checker" in e for e in errors)
+
+
+def test_metrics_contract_in_sync(docs_check):
+    assert docs_check.check_metrics_contract() == []
+
+
+def test_metrics_contract_detects_drift(docs_check):
+    live = docs_check.live_metric_names()
+    assert "sim.events_processed" in live and "link.utilization.0->1" in live
+    # a published name no documented prefix covers
+    errors = docs_check.check_metrics_contract(live + ["ghost.metric"])
+    assert any("'ghost.metric'" in e for e in errors)
+    # a documented prefix the live snapshot no longer publishes
+    errors = docs_check.check_metrics_contract([n for n in live if not n.startswith("sim.")])
+    assert any("'sim.*'" in e for e in errors)
 
 
 def test_repo_docs_are_clean(docs_check):

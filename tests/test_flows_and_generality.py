@@ -26,14 +26,47 @@ def test_kernel_flow_has_no_signal_and_one_kernel_entry():
 
 
 def test_flow_steps_collapse_repeats():
-    from repro.sim.trace import Tracer
+    from repro.obs.tracepoints import TracepointEvent
 
-    tr = Tracer()
-    for _ in range(3):
-        tr.record(0.0, 1.0, "x.a")
-    tr.record(3.0, 1.0, "y.b")
-    steps = fig12_flows.flow_steps(tr, {"x.": "X", "y.": "Y"})
+    def charge(t_us, tag):
+        return TracepointEvent("ledger:charge", t_us, 0, {"tag": tag, "dur_us": 1.0})
+
+    charges = [charge(float(i), "x.a") for i in range(3)] + [charge(3.0, "y.b")]
+    steps = fig12_flows.flow_steps(charges, {"x.": "X", "y.": "Y"})
     assert steps == ["X", "Y"]
+
+
+def test_flow_step_lists_are_pinned():
+    """The executed flows, step for step (the user-space flow enters
+    move_pages' control path twice: unmap before the copy, remap after)."""
+    user = fig12_flows.flow_steps(fig12_flows.trace_user_flow(), fig12_flows.USER_STEPS)
+    kernel = fig12_flows.flow_steps(
+        fig12_flows.trace_kernel_flow(), fig12_flows.KERNEL_STEPS
+    )
+    u, k = fig12_flows.USER_STEPS, fig12_flows.KERNEL_STEPS
+    assert user == [
+        u["mprotect.mark"], u["fault.entry"], u["signal.delivery"],
+        u["move_pages.base"], u["move_pages.control"], u["move_pages.copy"],
+        u["move_pages.control"], u["mprotect.restore"], u["access"],
+    ]
+    assert kernel == [
+        k["madvise"], k["fault.entry"], k["nt.control"], k["nt.alloc"],
+        k["nt.copy"], k["nt.free"], k["access"],
+    ]
+
+
+def test_flows_record_into_an_enclosing_recorder():
+    """Under ``flows --trace``/``--tracepoints`` the CLI's recorder is
+    attached: the flows record into it, so their charges reach the
+    run's artifacts, and still render the same steps."""
+    from repro.obs import record_tracepoints
+
+    with record_tracepoints() as outer:
+        charges = fig12_flows.trace_kernel_flow()
+    assert charges and all(any(e is c for e in outer.events) for c in charges)
+    assert fig12_flows.flow_steps(charges, fig12_flows.KERNEL_STEPS) == fig12_flows.flow_steps(
+        fig12_flows.trace_kernel_flow(), fig12_flows.KERNEL_STEPS
+    )
 
 
 def test_render_flow_numbers_steps():

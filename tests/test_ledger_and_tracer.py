@@ -1,9 +1,10 @@
-"""Pins for Ledger.total multi-prefix semantics and Tracer drop accounting."""
+"""Pins for Ledger.total multi-prefix semantics and for the drop
+accounting of recorded ``ledger:charge`` events."""
 
 import pytest
 
 from repro.kernel.accounting import Ledger
-from repro.sim.trace import Tracer
+from repro.obs.tracepoints import TracepointRecorder, record_tracepoints
 
 
 # ------------------------------------------------------------------- Ledger --
@@ -48,39 +49,53 @@ def test_total_unknown_prefix_is_zero():
     assert make_ledger().total("swap") == 0.0
 
 
-# ------------------------------------------------------------------- Tracer --
+# --------------------------------------------------------- charge recording --
+
+class _Env:
+    now = 0.0
+
+
+class _Kernel:
+    """The two things a ledger needs of its kernel: a clock and an id."""
+
+    def __init__(self):
+        self.env = _Env()
+
+
+def _charge(ledger, records, tag=lambda i: f"t{i}"):
+    for i in range(records):
+        ledger.kernel.env.now = float(i)
+        ledger.add(tag(i), 1.0)
+
 
 def test_tracer_capacity_one_drop_counts():
-    tracer = Tracer(capacity=1)
-    tracer.record(0.0, 1.0, "a")
-    assert tracer.dropped == 0
-    tracer.record(1.0, 1.0, "b")
-    tracer.record(2.0, 1.0, "c")
-    assert tracer.dropped == 2
-    assert [s.tag for s in tracer.samples] == ["c"]
+    ledger = Ledger(_Kernel())
+    with record_tracepoints(capacity=1) as rec:
+        _charge(ledger, 3, tag=lambda i: "abc"[i])
+    assert rec.dropped == 2
+    # The recorder keeps each system's *first* events.
+    assert [e.fields["tag"] for e in rec.events] == ["a"]
+    # Dropped events are still charged.
+    assert ledger.counts == {"a": 1, "b": 1, "c": 1}
 
 
 @pytest.mark.parametrize("capacity,records", [(3, 3), (3, 4), (3, 10), (7, 20)])
 def test_tracer_drop_count_is_records_minus_capacity(capacity, records):
-    tracer = Tracer(capacity=capacity)
-    for i in range(records):
-        tracer.record(float(i), 1.0, f"t{i}")
-    assert tracer.dropped == max(0, records - capacity)
-    assert len(tracer.samples) == min(records, capacity)
-    # The *newest* samples are the ones retained.
-    assert tracer.samples[-1].tag == f"t{records - 1}"
-
-
-def test_tracer_drop_count_survives_capacity_rebinding():
-    # The eviction check is against the deque's maxlen, so a stale
-    # `capacity` attribute cannot desynchronise the count.
-    tracer = Tracer(capacity=2)
-    tracer.capacity = 99
-    for i in range(5):
-        tracer.record(float(i), 1.0, "x")
-    assert tracer.dropped == 3
+    ledger = Ledger(_Kernel())
+    with record_tracepoints(capacity=capacity) as rec:
+        _charge(ledger, records)
+    assert rec.dropped == max(0, records - capacity)
+    assert len(rec) == min(records, capacity)
+    assert rec.events[-1].fields["tag"] == f"t{min(records, capacity) - 1}"
 
 
 def test_tracer_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
-        Tracer(capacity=0)
+        TracepointRecorder(capacity=0)
+
+
+def test_ledger_without_kernel_records_nothing():
+    ledger = Ledger()
+    with record_tracepoints() as rec:
+        ledger.add("x", 1.0)
+    assert len(rec) == 0 and ledger.totals == {"x": 1.0}

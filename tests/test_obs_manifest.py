@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import MemPolicy, PROT_RW, System
-from repro.obs import observe, run_manifest
+from repro.obs import run_manifest
 from repro.obs.manifest import SCHEMA, git_revision, lock_table, machine_dict
 
 
@@ -60,18 +60,9 @@ def test_manifest_aggregates_across_systems():
         assert lru0[0]["acquisitions"] == 2 * lru0_single[0]["acquisitions"]
 
 
-def test_manifest_with_observation_tracers():
-    with observe() as obs:
-        migrate_run()
-    manifest = run_manifest(obs.systems, tracers=obs.tracers)
-    assert manifest["metrics"]["trace.samples"]["value"] > 0
-
-
 def test_manifest_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         run_manifest([])
-    with pytest.raises(ValueError):
-        run_manifest([migrate_run()], tracers=[None, None])
 
 
 def test_machine_dict_static_description():

@@ -10,10 +10,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     merge_snapshots,
-    publish_tracer,
     system_metrics,
 )
-from repro.sim.trace import Tracer
 
 
 def small_run():
@@ -193,15 +191,3 @@ def test_system_metrics_is_deterministic():
     a = json.dumps(system_metrics(small_run()).snapshot())
     b = json.dumps(system_metrics(small_run()).snapshot())
     assert a == b
-
-
-def test_publish_tracer_surfaces_drops():
-    tracer = Tracer(capacity=2)
-    for i in range(5):
-        tracer.record(float(i), 1.0, "work")
-    reg = MetricsRegistry()
-    publish_tracer(reg, tracer)
-    snap = reg.snapshot()
-    assert snap["trace.dropped"]["value"] == 3.0
-    assert snap["trace.samples"]["value"] == 2.0
-    assert snap["trace.sample_duration_us"]["count"] == 2

@@ -1,11 +1,13 @@
-"""Tests for the reporting helpers and the event tracer."""
+"""Tests for the reporting helpers and the recorded charge timeline."""
 
 import pytest
 
 from conftest import drive
 from repro import Madvise, PROT_RW, System
-from repro.report import ledger_report, lock_report, memory_report, system_report
-from repro.sim.trace import TraceSample, Tracer
+from repro.errors import SimulationError
+from repro.obs import record_tracepoints, tracepoints
+from repro.obs.tracepoints import TracepointEvent
+from repro.report import ledger_report, lock_report, memory_report, system_report, timeline
 from repro.util import PAGE_SIZE
 
 
@@ -74,59 +76,53 @@ def test_reports_on_fresh_system_do_not_crash():
 
 
 # ----------------------------------------------------------------- tracer ----
-def test_tracer_records_and_totals():
-    tr = Tracer()
-    tr.record(0.0, 5.0, "a.x")
-    tr.record(5.0, 5.0, "a.y")
-    tr.record(10.0, 2.0, "b")
-    assert tr.total() == pytest.approx(12.0)
-    assert tr.total("a.") == pytest.approx(10.0)
-    assert len(tr.filter("a.")) == 2
-    assert tr.span() == (0.0, 12.0)
+def _charge(t_us, dur_us, tag):
+    return TracepointEvent("ledger:charge", t_us, 0, {"tag": tag, "dur_us": dur_us})
 
 
-def test_tracer_capacity_evicts_oldest():
-    tr = Tracer(capacity=3)
-    for i in range(5):
-        tr.record(float(i), 1.0, f"t{i}")
-    assert len(tr.samples) == 3
-    assert tr.dropped == 2
-    assert tr.samples[0].tag == "t2"
-
-
-def test_tracer_attach_captures_kernel_charges():
+def _recorded_run():
     system = System()
-    tr = Tracer()
-    tr.attach(system.kernel)
 
     def body(t):
         addr = yield from t.mmap(4 * PAGE_SIZE, PROT_RW)
         yield from t.touch(addr, 4 * PAGE_SIZE)
 
-    drive(system, body)
-    assert tr.total("fault.") > 0
-    # Ledger still records through the hooked path.
+    with record_tracepoints() as rec:
+        drive(system, body)
+    return system, rec.select("ledger:charge")
+
+
+def test_tracer_records_and_totals():
+    system, charges = _recorded_run()
+    ledger = system.kernel.ledger
+    assert len(charges) == sum(ledger.counts.values())
+    recorded = sum(e.fields["dur_us"] for e in charges if e.fields["tag"].startswith("fault."))
+    assert recorded == pytest.approx(ledger.total("fault."))
+    # Charges carry the simulated time they were made at, in order.
+    times = [e.t_us for e in charges]
+    assert times == sorted(times) and times[-1] <= system.now
+
+
+def test_tracer_attach_captures_kernel_charges():
+    system, charges = _recorded_run()
+    assert any(e.fields["tag"].startswith("fault.") for e in charges)
+    # The ledger still totals every charge it emits.
     assert system.kernel.ledger.totals["fault.anon"] > 0
 
 
 def test_tracer_timeline_renders():
-    tr = Tracer()
-    tr.record(0.0, 50.0, "copy.page")
-    tr.record(50.0, 50.0, "control.pte")
-    art = tr.timeline(width=20)
+    art = timeline([_charge(0.0, 50.0, "copy.page"), _charge(50.0, 50.0, "control.pte")], width=20)
     assert "copy" in art and "control" in art
     assert "#" in art
+    assert art.splitlines()[0] == "trace span: 0.0 .. 100.0 us (100.0 us)"
 
 
 def test_tracer_timeline_empty():
-    assert Tracer().timeline() == "trace: empty"
-
-
-def test_trace_sample_end():
-    s = TraceSample(3.0, 4.0, "x")
-    assert s.end_us == 7.0
+    assert timeline([]) == "trace: empty"
 
 
 def test_tracer_validation():
-    with pytest.raises(ValueError):
-        Tracer(capacity=0)
+    kernel = System().kernel
+    with record_tracepoints():
+        with pytest.raises(SimulationError, match="schema"):
+            tracepoints.emit("ledger:charge", kernel, tag="x")

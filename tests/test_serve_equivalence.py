@@ -12,6 +12,7 @@ counterparts do.
 
 import json
 import random
+import zlib
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.apps.kvserver import (
 from repro.experiments.common import fresh_system
 from repro.experiments.fig_serve import race
 from repro.obs.metrics import Histogram
-from repro.obs.telemetry import stats_snapshot
+from repro.obs.telemetry import KernelStats, stats_snapshot
 
 POLICIES = ("static", "move_pages", "nexttouch", "autonuma", "replicate")
 REQUESTS = 240
@@ -126,10 +127,32 @@ def test_zipf_pairs_without_drift_need_no_rotation():
         assert float(coins[i]) == scalar.uniform()
 
 
+def _reference_observe(values, name):
+    """Algorithm R as a plain scalar loop over ``random.Random.randrange``
+    — the independent reference both ``Histogram`` call shapes must match."""
+    rng = random.Random(zlib.crc32(name.encode("utf-8")))
+    count, total, lo, hi, reservoir = 0, 0.0, None, None, []
+    for value in values:
+        value = float(value)
+        count += 1
+        total += value
+        lo = value if lo is None else min(lo, value)
+        hi = value if hi is None else max(hi, value)
+        if len(reservoir) < Histogram.RESERVOIR_SIZE:
+            reservoir.append(value)
+        else:
+            slot = rng.randrange(count)
+            if slot < Histogram.RESERVOIR_SIZE:
+                reservoir[slot] = value
+    return count, total, lo, hi, reservoir, rng.getstate()
+
+
 def test_observe_many_matches_sequential_observe_bit_for_bit():
-    """Reservoir contents *and* RNG state match a scalar observe loop
-    after arbitrary chunking — well past the reservoir bound, so the
-    Vitter replacement path (the inlined ``_randbelow``) is exercised."""
+    """Reservoir contents *and* RNG state match a scalar reference loop
+    for both call shapes — one ``observe`` per value and
+    ``observe_many`` over arbitrary chunks — well past the reservoir
+    bound, so the Vitter replacement path (the inlined ``_randbelow``)
+    is exercised."""
     rng = random.Random(1234)
     values = [rng.expovariate(1 / 50.0) for _ in range(2000)]
     scalar = Histogram("serve.latency")
@@ -140,12 +163,10 @@ def test_observe_many_matches_sequential_observe_bit_for_bit():
     batched.observe_many([])  # empty batch is a no-op
     batched.observe_many(values[7:700])
     batched.observe_many(values[700:])
-    assert batched.count == scalar.count
-    assert batched.sum == scalar.sum
-    assert batched.min == scalar.min
-    assert batched.max == scalar.max
-    assert batched._reservoir == scalar._reservoir
-    assert batched._rng.getstate() == scalar._rng.getstate()
+    reference = _reference_observe(values, "serve.latency")
+    for hist in (scalar, batched):
+        state = (hist.count, hist.sum, hist.min, hist.max, hist._reservoir)
+        assert state + (hist._rng.getstate(),) == reference
     assert batched.dump() == scalar.dump()
 
 
@@ -197,9 +218,23 @@ def test_cli_serve_manifest_is_identical_turbo_vs_forced_slow(
 ):
     """The whole run manifest — latency reservoirs, SLO summaries,
     kernel stats, ledger, telemetry series — does not care which path
-    served the requests; only wall time and argv are host-dependent."""
+    served the requests; only wall time and argv are host-dependent,
+    and the variant batching counters differ by design."""
     turbo = _cli_serve_manifest(tmp_path, False, monkeypatch, capsys)
     slow = _cli_serve_manifest(tmp_path, True, monkeypatch, capsys)
+
+    # ``--json`` observes without disengaging the batching layer, so the
+    # two manifests really do come from the two paths.
+    assert turbo["kernel_stats"]["serve_turbo_requests"] > 0
+    assert slow["kernel_stats"]["serve_turbo_requests"] == 0
+    # So do the engine events: a batch commits many requests in one.
+    assert turbo["metrics"]["sim.events_processed"]["value"] < (
+        slow["metrics"]["sim.events_processed"]["value"]
+    )
+    for manifest in (turbo, slow):
+        for counter in KernelStats.VARIANT_SCALARS:
+            del manifest["kernel_stats"][counter]
+        del manifest["metrics"]["sim.events_processed"]
 
     assert isinstance(turbo["serve"]["slo_us"], float)
     assert set(turbo["serve"]["policies"]) == {"nexttouch"}

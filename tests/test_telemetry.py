@@ -1,13 +1,13 @@
 """Tests for the always-on telemetry layer (repro.obs.telemetry,
-repro.obs.timeseries) and the explicit ``Ledger.traced`` turbo gate.
+repro.obs.timeseries) and the tracepoint-recorder turbo gate.
 
 The load-bearing properties:
 
 * reading the counters never disengages the fast paths — a fresh
   system with telemetry is turbo-eligible, and sampling keeps it so;
-* tracer attach/detach flips turbo eligibility through the explicit
-  ``Ledger.traced`` flag (no ``__dict__`` sniffing), with stacked
-  tracers unwinding LIFO;
+* attaching a tracepoint recorder (the one tracer, which also carries
+  the ledger's charges) flips turbo eligibility off and detaching
+  restores it, with nested recorders unwinding LIFO;
 * the documented counter registry (``COUNTERS``) and the live
   ``KernelStats`` fields cannot drift apart;
 * series merge in point order, invariant to how points were sharded.
@@ -19,6 +19,7 @@ time-series sample are part of the diffed canonical state).
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
@@ -39,7 +40,7 @@ from repro.obs.timeseries import (
     chrome_counter_events,
     merge_series,
 )
-from repro.sim.trace import Tracer
+from repro.obs.tracepoints import record_tracepoints
 from repro.util import PAGE_SIZE
 
 
@@ -106,49 +107,37 @@ def test_telemetry_never_trips_turbo():
 
 
 def test_tracer_attach_detach_flips_turbo_eligibility():
-    """The explicit ``Ledger.traced`` flag: attach disengages the fast
-    paths, detach restores them — the regression the old ``__dict__``
-    sniff could not express."""
+    """Recording disengages the fast paths, and leaving the recorder's
+    context restores them."""
     system = System()
     kernel = system.kernel
-    assert kernel.turbo_ok() and not kernel.ledger.traced
-    tracer = Tracer()
-    tracer.attach(kernel)
-    assert kernel.ledger.traced and not kernel.turbo_ok()
-    tracer.detach(kernel)
-    assert not kernel.ledger.traced and kernel.turbo_ok()
-    # detach on an untraced kernel is a no-op
-    tracer.detach(kernel)
+    assert kernel.turbo_ok()
+    with record_tracepoints():
+        assert not kernel.turbo_ok()
     assert kernel.turbo_ok()
 
 
 def test_stacked_tracers_unwind_lifo():
     system = System()
     kernel = system.kernel
-    first, second = Tracer(), Tracer()
-    first.attach(kernel)
-    second.attach(kernel)
-    assert kernel.ledger.traced
-    second.detach(kernel)
-    # one tracer still hooked: turbo stays off, and its wrapper still
-    # records charges
-    assert kernel.ledger.traced and not kernel.turbo_ok()
-    before = len(first.samples)
-    kernel.ledger.add("probe", 1.0)
-    assert len(first.samples) == before + 1
-    assert not second.filter("probe")
-    first.detach(kernel)
-    assert not kernel.ledger.traced and kernel.turbo_ok()
+    with record_tracepoints() as first:
+        with record_tracepoints() as second:
+            kernel.ledger.add("inner", 1.0)
+        # one recorder still attached: turbo stays off, and it now
+        # receives the charges
+        assert not kernel.turbo_ok()
+        kernel.ledger.add("probe", 1.0)
+    assert kernel.turbo_ok()
+    assert [e.fields["tag"] for e in first.events] == ["probe"]
+    assert [e.fields["tag"] for e in second.events] == ["inner"]
 
 
 def test_traced_kernel_still_counts():
-    """Counters accumulate identically with a tracer attached (they
-    sit below the ledger hook, on the kernel paths themselves)."""
+    """Counters accumulate identically while a recorder is attached
+    (they sit on the kernel paths themselves, not behind tracepoints)."""
 
     def run(traced: bool) -> dict:
         system = System()
-        if traced:
-            Tracer().attach(system.kernel)
         proc = system.create_process("p")
 
         def body(t):
@@ -156,7 +145,8 @@ def test_traced_kernel_still_counts():
             yield from t.touch(addr, 64 * PAGE_SIZE, write=True, batch=1)
             yield from t.move_range(addr, 32 * PAGE_SIZE, 1)
 
-        drive(system, body, core=0, process=proc)
+        with record_tracepoints() if traced else contextlib.nullcontext():
+            drive(system, body, core=0, process=proc)
         return system.kernel.stats.snapshot()
 
     fast, slow = run(False), run(True)

@@ -33,7 +33,7 @@ class _FakeKernel:
 # ------------------------------------------------------------------ registry --
 
 def test_registry_names_and_schemas():
-    assert len(TRACEPOINTS) == 16
+    assert len(TRACEPOINTS) == 17
     for name, tp in TRACEPOINTS.items():
         assert tp.name == name
         assert ":" in name
@@ -48,6 +48,7 @@ def test_registry_covers_every_subsystem():
     prefixes = {name.split(":", 1)[0] for name in TRACEPOINTS}
     assert prefixes == {
         "fault", "migrate", "move_pages", "swap", "cow", "fork", "serve",
+        "ledger",
     }
 
 
@@ -110,6 +111,21 @@ def test_capacity_bound_counts_drops():
     assert len(rec) == 3
     assert rec.dropped == 2
     assert rec.summary()["dropped"] == 2
+    # The bound counts per system: each kernel keeps its own first
+    # ``capacity`` events, so a sweep of many systems (one per point)
+    # keeps every point's stream, whatever came before it.
+    k0, k1 = _FakeKernel(), _FakeKernel()
+    with record_tracepoints(capacity=2) as rec:
+        for child in range(4):
+            tracepoints.emit("fork:dup", k0, pid=0, child=child, ptes=0)
+        for child in range(3):
+            tracepoints.emit("fork:dup", k1, pid=1, child=child, ptes=0)
+        tracepoints.emit("fork:dup", k0, pid=0, child=9, ptes=0)
+    assert [(e.sys, e.fields["child"]) for e in rec.events] == [
+        (0, 0), (0, 1), (1, 0), (1, 1),
+    ]
+    assert rec.dropped == 2 + 1 + 1
+    assert rec.summary()["systems"] == 2
 
 
 def test_recorder_assigns_system_indices_in_first_seen_order():
@@ -170,6 +186,26 @@ def test_every_registered_tracepoint_fires_under_the_canned_workload():
     # every event carried its full schema (emit validates, but assert
     # the stream is non-trivial too)
     assert len(rec) > 20
+
+
+def test_ledger_charges_fold_to_the_ledger_totals():
+    """The ``ledger:charge`` stream is exact: folding ``dur_us`` per tag
+    in stream order reproduces ``kernel.ledger.totals`` bit for bit,
+    and the events per tag equal ``ledger.counts``."""
+    with record_tracepoints() as rec:
+        harness = _run_introspect_workload()
+    ledger = harness.kernel.ledger
+    index = rec.system_index(harness.kernel)
+    totals, counts = {}, {}
+    for event in rec.select("ledger:charge"):
+        assert event.sys == index
+        tag = event.fields["tag"]
+        totals[tag] = totals.get(tag, 0.0) + event.fields["dur_us"]
+        counts[tag] = counts.get(tag, 0) + 1
+    assert rec.dropped == 0
+    assert totals == dict(ledger.totals)
+    assert all(totals[tag].hex() == float(us).hex() for tag, us in ledger.totals.items())
+    assert counts == dict(ledger.counts)
 
 
 def test_serve_tracepoints_fire_under_the_smoke_workload():
@@ -252,6 +288,23 @@ def test_cli_tracepoints_flag_writes_artifacts(tmp_path, capsys):
     assert names == set(TRACEPOINTS)
     trace = json.loads(phases_path.read_text())
     assert any(e.get("ph") == "X" for e in trace)
+
+
+#: SHA-256 of ``fig5 --trace``'s ``fig5.trace.json`` (quick sweep), as
+#: written when the timeline came from a ledger hook instead of the
+#: ``ledger:charge`` tracepoint: the move kept the file byte-identical.
+FIG5_TRACE_SHA256 = "7f68c0cb0b193cd71e5d925efa8a9a2d1bb513790e9702b317207d4c403a1f4c"
+
+
+def test_cli_fig5_trace_is_byte_stable(tmp_path, capsys):
+    import hashlib
+
+    from repro.experiments import cli
+
+    assert cli.main(["fig5", "--trace", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = (tmp_path / "fig5.trace.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FIG5_TRACE_SHA256
 
 
 #: One ``numa_maps`` line: address, policy, anon/file page count.

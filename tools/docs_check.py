@@ -25,6 +25,10 @@ It additionally holds two docs to their contracts:
   checkers registered in ``repro.check.invariants.INVARIANTS`` — a
   checker documented but never implemented fails, and so does one
   implemented but never documented;
+* ``docs/observability.md`` §3: the metric-prefix table must cover a
+  live ``repro.obs.metrics.system_metrics`` snapshot exactly — every
+  documented prefix occurs in it, and every live name matches a
+  documented prefix;
 * ``docs/observability.md`` §9: the tracepoint table must list exactly
   the names in ``repro.obs.tracepoints.TRACEPOINTS``, each with its
   exact field list;
@@ -155,6 +159,76 @@ def check_invariant_contract() -> list[str]:
     return errors
 
 
+def _section(text: str, number: int) -> "str | None":
+    """The body of ``## <number>.`` up to the next section (or EOF)."""
+    match = re.search(
+        rf"^## {number}\..*?(?=^## |\Z)", text, re.MULTILINE | re.DOTALL
+    )
+    return match.group(0) if match else None
+
+
+def _metric_pattern(prefix: str) -> "re.Pattern[str]":
+    """A documented metric name as a regex: ``*`` and ``<placeholder>``
+    stand for any non-empty text, everything else is literal."""
+    parts = re.split(r"(\*|<[^>]+>)", prefix)
+    return re.compile(
+        "".join(".+" if part == "*" or part.startswith("<") else re.escape(part)
+                for part in parts)
+    )
+
+
+def live_metric_names() -> list[str]:
+    """Metric names of a live snapshot: one small first-touch + migrate
+    run, so every subsystem has something to publish."""
+    from repro import PROT_RW, System
+    from repro.obs.metrics import system_metrics
+
+    system = System()
+    proc = system.create_process("docs-check")
+
+    def body(t):
+        addr = yield from t.mmap(1 << 16, PROT_RW)
+        yield from t.touch(addr, 1 << 16)
+        yield from t.move_range(addr, 1 << 16, 1)
+
+    thread = system.spawn(proc, 0, body)
+    system.run_to(thread.join())
+    return sorted(system_metrics(system).snapshot())
+
+
+def check_metrics_contract(names: "list[str] | None" = None) -> list[str]:
+    """docs/observability.md §3's metric-prefix table == a live snapshot.
+
+    Rows are ``| `prefix` | source | examples |`` in the '## 3.'
+    section. Every documented prefix must match at least one live name
+    and every live name (``names``, by default
+    :func:`live_metric_names`) must match a documented prefix.
+    """
+    doc = REPO / "docs/observability.md"
+    if not doc.exists():
+        return [f"{doc.relative_to(REPO)}: missing (metrics contract unverifiable)"]
+    section = _section(doc.read_text(), 3)
+    if section is None:
+        return [f"{doc.relative_to(REPO)}: no '## 3.' metrics section found"]
+    prefixes = re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
+    patterns = {prefix: _metric_pattern(prefix) for prefix in prefixes}
+    live = live_metric_names() if names is None else names
+    errors = []
+    for prefix, pattern in patterns.items():
+        if not any(pattern.fullmatch(name) for name in live):
+            errors.append(
+                f"{doc.relative_to(REPO)}: metric prefix {prefix!r} documented "
+                "but absent from a live system_metrics snapshot"
+            )
+    for name in live:
+        if not any(pattern.fullmatch(name) for pattern in patterns.values()):
+            errors.append(
+                f"{doc.relative_to(REPO)}: metric {name!r} published by "
+                "system_metrics but matches no prefix in the §3 table"
+            )
+    return errors
+
+
 def check_tracepoint_contract() -> list[str]:
     """docs/observability.md §9's tracepoint table == the registry.
 
@@ -168,14 +242,13 @@ def check_tracepoint_contract() -> list[str]:
     doc = REPO / "docs/observability.md"
     if not doc.exists():
         return [f"{doc.relative_to(REPO)}: missing (tracepoint contract unverifiable)"]
-    text = doc.read_text()
-    match = re.search(r"^## 9\..*?(?=^## |\Z)", text, re.MULTILINE | re.DOTALL)
-    if match is None:
+    section = _section(doc.read_text(), 9)
+    if section is None:
         return [f"{doc.relative_to(REPO)}: no '## 9.' tracepoint section found"]
     documented = {
         name: tuple(f.strip() for f in fields.split(","))
         for name, fields in re.findall(
-            r"^\| `([a-z_]+:[a-z_]+)` \| `([^`]+)` \|", match.group(0), re.MULTILINE
+            r"^\| `([a-z_]+:[a-z_]+)` \| `([^`]+)` \|", section, re.MULTILINE
         )
     }
     errors = []
@@ -213,14 +286,11 @@ def check_telemetry_contract() -> list[str]:
     doc = REPO / "docs/observability.md"
     if not doc.exists():
         return [f"{doc.relative_to(REPO)}: missing (telemetry contract unverifiable)"]
-    text = doc.read_text()
-    match = re.search(r"^## 10\..*?(?=^## |\Z)", text, re.MULTILINE | re.DOTALL)
-    if match is None:
+    section = _section(doc.read_text(), 10)
+    if section is None:
         return [f"{doc.relative_to(REPO)}: no '## 10.' telemetry section found"]
     documented = dict(
-        re.findall(
-            r"^\| `([a-zA-Z_.<>]+)` \| `([a-z]+)` \|", match.group(0), re.MULTILINE
-        )
+        re.findall(r"^\| `([a-zA-Z_.<>]+)` \| `([a-z]+)` \|", section, re.MULTILINE)
     )
     errors = []
     for name in sorted(set(documented) - set(registry)):
@@ -247,6 +317,7 @@ def main() -> int:
     choices, flags = cli_vocabulary()
     targets = make_targets()
     errors: list[str] = list(check_invariant_contract())
+    errors.extend(check_metrics_contract())
     errors.extend(check_tracepoint_contract())
     errors.extend(check_telemetry_contract())
     for path in DOC_FILES:
