@@ -22,6 +22,10 @@ Structured artifacts (schemas in ``docs/observability.md``)::
     repro-experiments bench --suite serve  # serving gate -> BENCH_serve.json
     repro-experiments bench --suite wall   # host-time gate -> BENCH_wall.json
     repro-experiments serve                # KV serving policy race (docs/serving.md)
+    repro-experiments fig7 --workers 2 --tracepoints out/  # sweep points in 2 workers
+
+Every run goes through :func:`repro.experiments.parallel.run_points`,
+so its artifacts are byte-identical at any ``--workers``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 from typing import Callable
 
 from . import (
@@ -42,15 +45,14 @@ from . import (
     fig12_flows,
     fig_serve,
 )
-from ..obs import observe, record_tracepoints
-from .parallel import PARALLEL_EXPERIMENTS, resolve_workers, run_sweep
+from .parallel import PARALLEL_EXPERIMENTS, Sweep, SweepOutcome, resolve_workers
+from .parallel import run_points, run_sweep
 
 __all__ = ["main", "build_parser", "positive"]
 
 _QUICK_PAGES = [4, 16, 64, 256, 1024, 4096]
 
-#: The sweep experiments' CLI flags as ``run_sweep`` keyword arguments —
-#: the one count selection both the serial and ``--workers`` paths use.
+#: The sweep experiments' CLI flags as ``run_sweep`` keyword arguments.
 _SWEEP_ARGS: dict[str, Callable[[argparse.Namespace], dict]] = {
     "fig4": lambda args: {"page_counts": None if args.full else _QUICK_PAGES},
     "fig5": lambda args: {"page_counts": None if args.full else _QUICK_PAGES},
@@ -66,10 +68,6 @@ _SWEEP_ARGS: dict[str, Callable[[argparse.Namespace], dict]] = {
     },
     "table1": lambda args: {"full": args.full},
 }
-
-
-def _run_sweep(name: str, args, workers: int = 1, collect: bool = False):
-    return run_sweep(name, workers=workers, collect=collect, **_SWEEP_ARGS[name](args))
 
 
 def _run_fig6(args):
@@ -125,6 +123,8 @@ def _run_blas1(args):
     return [blas1_check.run(sizes)]
 
 
+#: The experiments that are not sweeps: each is one inline point
+#: returning its list of results.
 _RUNNERS: dict[str, Callable[..., list]] = {
     "fig3": _run_fig3,
     "fig6": _run_fig6,
@@ -133,48 +133,41 @@ _RUNNERS: dict[str, Callable[..., list]] = {
     "flows": _run_flows,
     "calibration": _run_calibration,
     "whatif": _run_whatif,
-    **{
-        name: lambda args, name=name: _run_sweep(name, args).results
-        for name in PARALLEL_EXPERIMENTS
-    },
 }
 
+#: Every experiment the CLI runs: the sweeps plus the one-point runners.
+_EXPERIMENTS = sorted([*_RUNNERS, *PARALLEL_EXPERIMENTS])
 
-def _check_observation(obs, name: str) -> dict:
-    """Run the kernel invariant checkers over every observed system.
+
+def _check_observation(fragments: list, name: str) -> dict:
+    """Summarise the kernel invariant checks of every observed system.
 
     Returns a manifest-ready summary (``docs/correctness.md``); any
     violations are also printed to stderr.
     """
-    from ..check import check_system
     from ..check.invariants import INVARIANTS
 
-    violations = []
-    for i, system in enumerate(obs.systems):
-        for v in check_system(system):
-            violations.append({"system": i, "invariant": v.invariant, "message": v.message})
-            print(f"[{name}: invariant {v.invariant} FAILED: {v.message}]", file=sys.stderr)
-    summary = {
-        "checked": sorted(INVARIANTS),
-        "systems": len(obs.systems),
-        "violations": violations,
-    }
+    violations = [
+        {"system": i, **v} for i, f in enumerate(fragments) for v in f["violations"]
+    ]
+    for v in violations:
+        print(f"[{name}: invariant {v['invariant']} FAILED: {v['message']}]", file=sys.stderr)
     status = "OK" if not violations else f"{len(violations)} violation(s)"
     print(
-        f"[{name}: invariants {status} over {len(obs.systems)} system(s)]",
+        f"[{name}: invariants {status} over {len(fragments)} system(s)]",
         file=sys.stderr,
     )
-    return summary
+    return {"checked": sorted(INVARIANTS), "systems": len(fragments), "violations": violations}
 
 
-def _write_observation(
-    obs, name: str, args, wall_time_s: float, invariants=None, recorder=None,
-    results=(),
-) -> None:
-    """Emit the manifest/metrics/trace artifacts for one experiment."""
+def _write_observation(outcome, name: str, args, wall_time_s: float, invariants) -> None:
+    """Fold the run's per-system fragments, in creation order, into the
+    manifest/metrics/trace/tracepoints/timeseries artifacts."""
     from ..obs import run_manifest, write_chrome_trace
+    from ..obs.chrometrace import charge_trace
 
-    if not obs.systems:
+    fragments, recorder = outcome.systems, outcome.recorder
+    if not fragments:
         print(f"[{name}: no simulated systems, no run artifacts]", file=sys.stderr)
         return
     profile = None
@@ -182,7 +175,7 @@ def _write_observation(
         from ..obs import PhaseProfile
 
         profile = PhaseProfile.from_events(recorder.events)
-        _write_tracepoints(obs, recorder, profile, name, args.tracepoints)
+        _write_tracepoints(fragments, recorder, profile, name, args.tracepoints)
     if args.json is not None:
         extra = {}
         if invariants is not None:
@@ -192,18 +185,18 @@ def _write_observation(
             extra["phases"] = profile.summary()
         # Results can contribute their own manifest block (e.g. the
         # serve race's per-policy stats and SLO transitions).
-        for result in results:
+        for result in outcome.results:
             extra_fn = getattr(result, "manifest_extra", None)
             if extra_fn is not None:
                 extra.update(extra_fn())
         manifest = run_manifest(
-            obs.systems,
+            fragments,
             experiment=name,
             wall_time_s=wall_time_s,
             argv=list(sys.argv[1:]),
             extra=extra or None,
         )
-        metrics = obs.merged_metrics()
+        metrics = dict(manifest["metrics"])
         if invariants is not None:
             metrics["check.invariant_violations"] = {
                 "type": "counter",
@@ -218,7 +211,7 @@ def _write_observation(
         _write_run_json(args.json, name, manifest, metrics)
     if args.trace is not None:
         os.makedirs(args.trace, exist_ok=True)
-        events = obs.chrome_trace(recorder)
+        events = charge_trace([f["sys"] for f in fragments], recorder.events)
         if profile is not None:
             events = itertools.chain(events, profile.chrome_events())
         trace_path = write_chrome_trace(
@@ -231,7 +224,7 @@ def _write_observation(
             file=sys.stderr,
         )
     if args.timeseries is not None:
-        _write_timeseries(obs, name, args.timeseries)
+        _write_timeseries(fragments, name, args.timeseries)
 
 
 def _write_run_json(outdir: str, name: str, manifest: dict, metrics: dict) -> None:
@@ -244,7 +237,7 @@ def _write_run_json(outdir: str, name: str, manifest: dict, metrics: dict) -> No
         print(f"[{kind}: {path}]", file=sys.stderr)
 
 
-def _write_timeseries(obs, name: str, outdir: str) -> None:
+def _write_timeseries(fragments: list, name: str, outdir: str) -> None:
     """Emit the ``--timeseries`` artifact pair for one experiment.
 
     The always-on counters are cumulative, so one closing sample per
@@ -253,19 +246,10 @@ def _write_timeseries(obs, name: str, outdir: str) -> None:
     additionally embed their own series in the manifest.
     """
     from ..obs import write_chrome_trace
-    from ..obs.timeseries import (
-        TimeSeriesSampler,
-        chrome_counter_events,
-        merge_series,
-    )
+    from ..obs.timeseries import chrome_counter_events, merge_series
 
     os.makedirs(outdir, exist_ok=True)
-    per_system = []
-    for system in obs.systems:
-        sampler = TimeSeriesSampler(system.kernel)
-        sampler.sample()
-        per_system.append(sampler.to_dict())
-    merged = merge_series(per_system)
+    merged = merge_series(f["sample"] for f in fragments)
     json_path = os.path.join(outdir, f"{name}.timeseries.json")
     with open(json_path, "w") as fh:
         json.dump(merged, fh, indent=2)
@@ -293,29 +277,21 @@ def _write_event_streams(recorder, profile, name: str, outdir: str) -> None:
         print(f"[tracepoints: {path}]", file=sys.stderr)
 
 
-def _write_tracepoints(obs, recorder, profile, name: str, outdir: str) -> None:
+def _write_tracepoints(fragments: list, recorder, profile, name: str, outdir: str) -> None:
     """Emit the ``--tracepoints`` artifact set for one experiment."""
-    from ..obs import procfs
-
     _write_event_streams(recorder, profile, name, outdir)
     maps_lines, vmstat_lines = [], []
-    for i, system in enumerate(obs.systems):
-        kernel = system.kernel
-        num_nodes = kernel.machine.num_nodes
+    for i, fragment in enumerate(fragments):
         vmstat_lines.append(f"# system {i}")
-        vmstat_lines.append(procfs.vmstat(kernel))
-        for process in kernel.processes:
-            maps_lines.append(f"# system {i} pid {process.pid} ({process.name})")
-            text = procfs.numa_maps(process, num_nodes)
+        vmstat_lines.append(fragment["vmstat"])
+        for pid, pname, text in fragment["numa_maps"]:
+            maps_lines.append(f"# system {i} pid {pid} ({pname})")
             if text:
                 maps_lines.append(text)
-    maps_path = os.path.join(outdir, f"{name}.numa_maps.txt")
-    with open(maps_path, "w") as fh:
-        fh.write("\n".join(maps_lines) + "\n")
-    vmstat_path = os.path.join(outdir, f"{name}.vmstat.txt")
-    with open(vmstat_path, "w") as fh:
-        fh.write("\n".join(vmstat_lines) + "\n")
-    for path in (maps_path, vmstat_path):
+    for kind, lines in (("numa_maps", maps_lines), ("vmstat", vmstat_lines)):
+        path = os.path.join(outdir, f"{name}.{kind}.txt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
         print(f"[tracepoints: {path}]", file=sys.stderr)
 
 
@@ -413,37 +389,24 @@ def _run_introspect(args) -> int:
     return 0
 
 
-def _maybe_profile(args, name: str, fn: Callable[[], object]):
-    """Run ``fn`` under cProfile when ``--profile DIR`` is given.
-
-    Dumps ``<DIR>/<name>.profile.pstats`` (load with :mod:`pstats` or
+def _write_profile(stats, name: str, outdir: str) -> None:
+    """Dump the points' added-up ``--profile`` stats as
+    ``<DIR>/<name>.profile.pstats`` (load with :mod:`pstats` or
     snakeviz) plus ``<DIR>/<name>.profile.txt``, the top 25 functions
     by cumulative host time — the first place to look when ``make
-    perf`` regresses (see docs/performance.md).
-    """
-    if args.profile is None:
-        return fn()
-    import cProfile
+    perf`` regresses (see docs/performance.md)."""
     import io
-    import pstats
 
-    os.makedirs(args.profile, exist_ok=True)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = fn()
-    finally:
-        profiler.disable()
-        pstats_path = os.path.join(args.profile, f"{name}.profile.pstats")
-        profiler.dump_stats(pstats_path)
-        buffer = io.StringIO()
-        pstats.Stats(profiler, stream=buffer).sort_stats("cumulative").print_stats(25)
-        text_path = os.path.join(args.profile, f"{name}.profile.txt")
-        with open(text_path, "w") as fh:
-            fh.write(buffer.getvalue())
-        print(f"[profile: {pstats_path}]", file=sys.stderr)
-        print(f"[profile: {text_path}]", file=sys.stderr)
-    return result
+    os.makedirs(outdir, exist_ok=True)
+    pstats_path = os.path.join(outdir, f"{name}.profile.pstats")
+    stats.dump_stats(pstats_path)
+    stats.stream = io.StringIO()
+    stats.sort_stats("cumulative").print_stats(25)
+    text_path = os.path.join(outdir, f"{name}.profile.txt")
+    with open(text_path, "w") as fh:
+        fh.write(stats.stream.getvalue())
+    print(f"[profile: {pstats_path}]", file=sys.stderr)
+    print(f"[profile: {text_path}]", file=sys.stderr)
 
 
 def _run_bench_gate(args) -> int:
@@ -456,10 +419,14 @@ def _run_bench_gate(args) -> int:
         baseline_path=args.baseline,
         tolerance=args.tolerance,
         repeats=args.repeats,
-        workers=args.workers or 1,
+        workers=args.workers,
         update_baseline=args.update_baseline,
         append_history=args.append_history,
     )
+
+
+#: The subcommands that are not experiments.
+_COMMANDS = {"bench": _run_bench_gate, "introspect": _run_introspect}
 
 
 def positive(kind: type, *, or_zero: bool = False) -> Callable[[str], object]:
@@ -488,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_RUNNERS) + ["all", "bench", "introspect"],
+        choices=_EXPERIMENTS + ["all", "bench", "introspect"],
         help="which artifact to regenerate ('bench' runs the regression "
         "gate, 'introspect' renders the /proc-style kernel views)",
     )
@@ -553,14 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=resolve_workers,
         metavar="N",
-        default=None,
-        help="shard the fig4/fig5/fig7/serve/table1 sweeps across N worker "
-        "processes ('auto' = host CPU count); merged results, manifests "
-        "and metrics are byte-identical for every N (see "
-        "docs/performance.md); incompatible with --trace, --tracepoints, "
-        "--timeseries, --check and --profile (the sweep manifest still "
-        "carries a merged telemetry series); 'bench --suite wall' shards "
-        "its fig4/fig5/fig7 scenarios the same way",
+        default=1,
+        help="run the points of the fig4/fig5/fig7/serve/table1 sweeps "
+        "across N worker processes ('auto' = host CPU count; default: 1, "
+        "inline); results and every artifact are byte-identical for every "
+        "N (see docs/performance.md); 'bench --suite wall' shards its "
+        "fig4/fig5/fig7 scenarios the same way",
     )
     serve = parser.add_argument_group("serve (KV policy race)")
     serve.add_argument(
@@ -664,101 +629,74 @@ def _emit_results(results, args) -> None:
             print(f"[json: {path}]", file=sys.stderr)
 
 
-def _run_parallel(args) -> int:
-    """``--workers``: shard the sweep experiments across processes."""
+def _parts(args) -> frozenset:
+    """The observation each point returns for ``args``' artifact flags
+    (see ``repro.obs.context.Observation.fragments``)."""
+    wanted = {
+        "manifest": args.json is not None,
+        "timeseries": args.timeseries is not None,
+        "events": args.trace is not None or args.tracepoints is not None,
+        "procfs": args.tracepoints is not None,
+        "check": args.check,
+        "profile": args.profile is not None,
+    }
+    return frozenset(part for part, on in wanted.items() if on)
+
+
+def _inline(args, runner: Callable, parts) -> SweepOutcome:
+    """``runner(args)`` as one inline point; its value is the results."""
+    return run_points(Sweep([args], lambda values: values[0]), runner, parts=parts)
+
+
+def _run_experiment(name: str, args) -> int:
+    """Run one experiment at ``--workers`` and write the artifacts its
+    flags ask for; returns the invariant violations found."""
+    parts = _parts(args)
+    start = time.time()
+    if name in PARALLEL_EXPERIMENTS:
+        outcome = run_sweep(
+            name, workers=args.workers, parts=parts, **_SWEEP_ARGS[name](args)
+        )
+    else:
+        outcome = _inline(args, _RUNNERS[name], parts)
+    _emit_results(outcome.results, args)
+    wall = time.time() - start
+    invariants = _check_observation(outcome.systems, name) if args.check else None
+    if parts - {"profile"}:
+        _write_observation(outcome, name, args, round(wall, 3), invariants)
+    if outcome.profile is not None:
+        _write_profile(outcome.profile, name, args.profile)
+    print(
+        f"[{name} regenerated in {wall:.1f}s wall; workers={args.workers}]",
+        file=sys.stderr,
+    )
+    return len(invariants["violations"]) if invariants is not None else 0
+
+
+def _broken_pool() -> type:
+    """The exception a dead sweep worker raises (imported on demand, so
+    an inline run never loads the pool machinery)."""
     from concurrent.futures.process import BrokenProcessPool
 
-    incompatible = [
-        flag
-        for flag, value in (
-            ("--trace", args.trace),
-            ("--tracepoints", args.tracepoints),
-            ("--timeseries", args.timeseries),
-            ("--profile", args.profile),
-            ("--check", args.check),
-        )
-        if value
-    ]
-    if incompatible:
-        print(
-            f"error: --workers cannot be combined with {', '.join(incompatible)}",
-            file=sys.stderr,
-        )
-        return 2
-    names = sorted(_RUNNERS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        if name not in PARALLEL_EXPERIMENTS:
-            print(
-                f"[{name}: not a shardable sweep, running serially]",
-                file=sys.stderr,
-            )
-            _run_serial(name, args)
-            continue
-        start = time.time()
-        try:
-            outcome = _run_sweep(name, args, args.workers, collect=args.json is not None)
-        except BrokenProcessPool as exc:
-            print(f"error: {name} sweep failed: {exc}", file=sys.stderr)
-            return 1
-        _emit_results(outcome.results, args)
-        if args.json is not None:
-            _write_run_json(args.json, name, outcome.manifest, outcome.metrics)
-        wall = time.time() - start
-        print(
-            f"[{name} regenerated in {wall:.1f}s wall; workers={args.workers}]",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _run_serial(name: str, args) -> int:
-    """Run one experiment in this process, observed as the flags ask,
-    and write its artifacts; returns the invariant violations found."""
-    observing = (
-        args.json is not None
-        or args.trace is not None
-        or args.tracepoints is not None
-        or args.timeseries is not None
-        or args.check
-    )
-    start = time.time()
-    # --trace and --tracepoints read one recorder: the Chrome trace is
-    # its ledger:charge events.
-    recording = args.trace is not None or args.tracepoints is not None
-    with (observe() if observing else nullcontext()) as obs, (
-        record_tracepoints() if recording else nullcontext()
-    ) as recorder:
-        results = _maybe_profile(args, name, lambda: _RUNNERS[name](args))
-    _emit_results(results, args)
-    wall = time.time() - start
-    invariants = None
-    if args.check and obs is not None:
-        invariants = _check_observation(obs, name)
-    if obs is not None:
-        _write_observation(
-            obs,
-            name,
-            args,
-            wall_time_s=round(wall, 3),
-            invariants=invariants,
-            recorder=recorder,
-            results=results,
-        )
-    print(f"[{name} regenerated in {wall:.1f}s wall]", file=sys.stderr)
-    return len(invariants["violations"]) if invariants is not None else 0
+    return BrokenProcessPool
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.experiment == "bench":
-        return _maybe_profile(args, "bench", lambda: _run_bench_gate(args))
-    if args.experiment == "introspect":
-        return _maybe_profile(args, "introspect", lambda: _run_introspect(args))
-    if args.workers is not None:
-        return _run_parallel(args)
-    names = sorted(_RUNNERS) if args.experiment == "all" else [args.experiment]
-    broken = sum(_run_serial(name, args) for name in names)
+    if args.experiment in _COMMANDS:  # one inline point returning the exit code
+        outcome = _inline(args, _COMMANDS[args.experiment], _parts(args) & {"profile"})
+        if outcome.profile is not None:
+            _write_profile(outcome.profile, args.experiment, args.profile)
+        return outcome.results[0]
+    names = _EXPERIMENTS if args.experiment == "all" else [args.experiment]
+    broken = 0
+    for name in names:
+        try:
+            broken += _run_experiment(name, args)
+        except _broken_pool() as exc:  # evaluated only when a run raises
+            print(f"error: {name} sweep failed: {exc}", file=sys.stderr)
+            return 1
     return 1 if broken else 0
 
 

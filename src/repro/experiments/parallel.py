@@ -1,4 +1,4 @@
-"""Sharded sweep runner: fan sweep points across worker processes.
+"""The run path of every experiment: points, fanned across workers.
 
 The fig4/fig5/fig7 sweeps, the serve policy race and Table 1's LU rows
 are embarrassingly parallel — every point builds its own fresh system and never looks at
@@ -10,27 +10,30 @@ sweep exactly once, in two module-level functions:
   per-point values;
 * ``point(payload)`` measures one point and returns plain JSON values.
 
-:func:`run_sweep` executes that definition. At one worker every point
-runs inline, which is what the module's serial ``run()`` does; with
-more, each point runs in a forked worker process and the values are
-reassembled **in serial point order**, so the result is the same.
+:func:`run_sweep` executes that definition through :func:`run_points`,
+which the CLI uses for every other experiment too (as one inline
+point). At one worker every point runs inline, which is what the
+module's serial ``run()`` does; with more, each point runs in a forked
+worker process and the values are reassembled **in serial point
+order**, so the result is the same.
+
+Observation takes the same path. Like ``perf record``'s per-CPU
+buffers, merged only at report time, each point observes its own
+systems where it runs, as the caller's ``parts`` ask, and returns
+plain per-system fragments (:meth:`repro.obs.context.Observation.fragments`),
+its tracepoint recorder and its profile. They are concatenated in point
+order — the serial run's system-creation order — so every artifact
+folded from them is the serial one, byte for byte, at any worker
+count. Without ``parts`` a point runs bare: nothing is collected.
 
 Determinism contract (pinned by ``tests/test_parallel_runner.py``):
-
-* every point gets the caller's root seed unchanged and nothing about
-  the worker that runs it, so the merged result is bit-identical for
-  every worker count;
-* merged manifests and metrics exclude anything host-dependent
-  (wall time, argv, worker count); per-point metrics snapshots are
-  merged with :func:`repro.obs.metrics.merge_snapshots` in point order.
+every point gets the caller's root seed unchanged and nothing about
+the worker that runs it, and fragments hold simulated state only
+(no wall time, argv or worker count).
 
 A worker that dies mid-sweep (killed, out of memory) fails the sweep
 with :class:`concurrent.futures.process.BrokenProcessPool` instead of
 hanging it.
-
-``--workers N`` on the CLI routes the five sweep experiments through
-:func:`run_sweep`; ``repro-experiments bench --suite wall --workers N``
-uses the same entry point for the wall-clock gate.
 """
 
 from __future__ import annotations
@@ -38,17 +41,19 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from functools import partial
+from typing import Any, Callable, NamedTuple, Optional
 
 from .common import ExperimentResult
 
 __all__ = [
     "PARALLEL_EXPERIMENTS",
-    "SWEEP_SCHEMA",
     "Sweep",
     "SweepOutcome",
     "resolve_workers",
+    "run_points",
     "run_sweep",
 ]
 
@@ -64,8 +69,6 @@ _MODULES = {
 #: Experiments the CLI may shard with ``--workers``.
 PARALLEL_EXPERIMENTS = tuple(_MODULES)
 
-SWEEP_SCHEMA = "repro.sweep_manifest/v1"
-
 
 class Sweep(NamedTuple):
     """One sweep's definition: what each point measures, how to merge."""
@@ -78,15 +81,15 @@ class Sweep(NamedTuple):
 
 @dataclass
 class SweepOutcome:
-    """A reassembled sweep: results plus optional merged observability."""
+    """A reassembled run: results plus the points' merged observation."""
 
-    experiment: str
-    workers: int
-    results: list = field(default_factory=list)
-    #: merged metrics snapshot (``collect=True`` only)
-    metrics: Optional[dict] = None
-    #: merged sweep manifest (``collect=True`` only)
-    manifest: Optional[dict] = None
+    results: list
+    #: one observation fragment per system, in creation order
+    systems: list = field(default_factory=list)
+    #: every point's tracepoint stream, in point order (``"events"`` part)
+    recorder: Optional[Any] = None
+    #: the points' cProfile stats added up (``"profile"`` part)
+    profile: Optional[Any] = None
 
 
 def resolve_workers(value) -> int:
@@ -110,104 +113,102 @@ def _module(experiment: str):
     return importlib.import_module(f".{_MODULES[experiment]}", __package__)
 
 
-def _run_point(spec: dict) -> dict:
-    """Execute one sweep point (the worker-side entry point)."""
-    point = _module(spec["experiment"]).point
-    if not spec["collect"]:
-        return {"values": point(spec["payload"])}
-    from ..obs import observe, run_manifest
-    from ..obs.timeseries import TimeSeriesSampler, merge_series
+def _point(experiment: str, payload):
+    """A sweep module's ``point()``, looked up where the point runs."""
+    return _module(experiment).point(payload)
 
-    with observe() as obs:
-        values = point(spec["payload"])
-    metrics = obs.merged_metrics() if obs.systems else {}
-    manifest = (
-        run_manifest(
-            obs.systems,
-            experiment=spec["experiment"],
-            seed=spec["payload"].get("seed"),
-        )
-        if obs.systems
-        else None
-    )
-    # One end-of-point telemetry sample per observed system, merged in
-    # system-creation order — everything sampled is simulated state, so
-    # the series is independent of which worker ran the point.
-    series = None
-    if obs.systems:
-        per_system = []
-        for system in obs.systems:
-            sampler = TimeSeriesSampler(system.kernel)
-            sampler.sample()
-            per_system.append(sampler.to_dict())
-        series = merge_series(per_system)
+
+def _observe_point(point: Callable, parts: frozenset, payload) -> dict:
+    """Run one point; with ``parts``, observe its systems and return
+    their fragments, its tracepoint recorder and its profile too."""
+    if not parts:
+        return {"values": point(payload)}
+    import cProfile
+
+    from ..obs import observe, record_tracepoints
+
+    observing = observe() if parts - {"profile"} else nullcontext()
+    recording = record_tracepoints() if "events" in parts else nullcontext()
+    profiling = cProfile.Profile() if "profile" in parts else nullcontext()
+    with observing as obs, recording as recorder, profiling as profiler:
+        values = point(payload)
+    if profiler is not None:
+        profiler.create_stats()
     return {
         "values": values,
-        "metrics": metrics,
-        "manifest": manifest,
-        "series": series,
+        "systems": obs.fragments(parts, recorder) if obs is not None else [],
+        "recorder": recorder,
+        "profile": getattr(profiler, "stats", None),
     }
 
 
-def _execute(specs: list[dict], workers: int) -> list[dict]:
-    """Run the specs, preserving point order in the returned list."""
-    if workers <= 1 or len(specs) <= 1:
-        return [_run_point(spec) for spec in specs]
-    # Imported here so the serial run() path never loads the pool machinery.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _merge(outcome: SweepOutcome, points: list[dict]) -> None:
+    """Fold the points' observations into ``outcome``, in point order."""
+    import pstats
+    from types import SimpleNamespace
 
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(specs)),
-        mp_context=multiprocessing.get_context("fork"),
-    ) as pool:
-        return list(pool.map(_run_point, specs))
+    from ..obs import TracepointRecorder
+
+    profiles = []
+    for point in points:
+        if point["recorder"] is not None:
+            if outcome.recorder is None:
+                outcome.recorder = TracepointRecorder()
+            offset = outcome.recorder.extend(point["recorder"])
+            for fragment in point["systems"]:
+                if fragment["sys"] is not None:
+                    fragment["sys"] += offset
+        outcome.systems.extend(point["systems"])
+        if point["profile"] is not None:
+            # pstats loads any object with create_stats() and .stats
+            profiles.append(SimpleNamespace(stats=point["profile"], create_stats=lambda: None))
+    if profiles:
+        outcome.profile = pstats.Stats(*profiles)
 
 
-def _sweep_manifest(experiment: str, points: list[dict]) -> dict:
-    """One manifest for the whole sweep, merged in point order.
+def run_points(
+    sweep: Sweep, point: Callable, *, workers: int = 1, parts=frozenset()
+) -> SweepOutcome:
+    """Run ``point`` over ``sweep.payloads`` and reassemble in point order.
 
-    Excludes wall time, argv and the worker count on purpose: the same
-    sweep must serialize byte-identically for every ``--workers`` value.
+    With more than one worker and more than one point, each point runs
+    in a forked worker, so ``point`` must pickle (a module-level
+    function or a ``functools.partial`` of one). ``parts`` names the
+    observation each point returns (see
+    :meth:`~repro.obs.context.Observation.fragments`, plus
+    ``"profile"``); an assembler returning a list gives the results
+    as is.
     """
-    from .. import __version__
-    from ..obs.manifest import git_revision
-    from ..obs.metrics import merge_snapshots
-    from ..obs.timeseries import merge_series
+    observed = partial(_observe_point, point, frozenset(parts))
+    payloads = sweep.payloads
+    if workers <= 1 or len(payloads) <= 1:
+        points = [observed(payload) for payload in payloads]
+    else:
+        # Imported here so the inline path never loads the pool machinery.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    fragments = [p.get("manifest") for p in points]
-    sim_totals = [
-        f["sim_time_us"]["total"] for f in fragments if f is not None
-    ]
-    sim_maxes = [f["sim_time_us"]["max"] for f in fragments if f is not None]
-    return {
-        "schema": SWEEP_SCHEMA,
-        "experiment": experiment,
-        "repro_version": __version__,
-        "git_revision": git_revision(),
-        "num_points": len(points),
-        "sim_time_us": {
-            "total": sum(sim_totals),
-            "max": max(sim_maxes) if sim_maxes else 0.0,
-        },
-        "metrics": merge_snapshots(p.get("metrics") or {} for p in points),
-        # Per-point telemetry series concatenated in point order — the
-        # same worker-count-invariance property merge_snapshots has.
-        "timeseries": merge_series(p.get("series") for p in points),
-        "points": fragments,
-    }
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(payloads)),
+            mp_context=multiprocessing.get_context("fork"),
+        ) as pool:
+            points = list(pool.map(observed, payloads))
+    result = sweep.assemble([p["values"] for p in points])
+    outcome = SweepOutcome(results=result if isinstance(result, list) else [result])
+    if parts:
+        _merge(outcome, points)
+    return outcome
 
 
 def run_sweep(
-    experiment: str, *, workers: int = 1, collect: bool = False, **params
+    experiment: str, *, workers: int = 1, parts=frozenset(), **params
 ) -> SweepOutcome:
-    """Run one sweep and reassemble the serial-order result.
+    """Run one sweep experiment and reassemble the serial-order result.
 
     ``params`` are the keyword arguments of the experiment's ``run()``
     (e.g. ``page_counts``, fig7's ``thread_counts``, serve's
-    ``tenants``/``policies``/``seed``, table1's ``configs``/``full``). With ``collect=True`` every
-    point runs under :func:`~repro.obs.context.observe` and the outcome
-    also carries the merged metrics snapshot and sweep manifest.
+    ``tenants``/``policies``/``seed``, table1's ``configs``/``full``);
+    ``workers`` and ``parts`` are :func:`run_points`'.
     """
     if experiment not in _MODULES:
         raise ValueError(
@@ -215,18 +216,4 @@ def run_sweep(
             f"(one of {', '.join(PARALLEL_EXPERIMENTS)})"
         )
     sweep = _module(experiment).sweep(**params)
-    specs = [
-        {"experiment": experiment, "payload": payload, "collect": collect}
-        for payload in sweep.payloads
-    ]
-    points = _execute(specs, workers)
-    result = sweep.assemble([p["values"] for p in points])
-    outcome = SweepOutcome(experiment=experiment, workers=workers, results=[result])
-    if collect:
-        manifest = _sweep_manifest(experiment, points)
-        extra_fn = getattr(result, "manifest_extra", None)
-        if extra_fn is not None:
-            manifest.update(extra_fn())
-        outcome.manifest = manifest
-        outcome.metrics = manifest["metrics"]
-    return outcome
+    return run_points(sweep, partial(_point, experiment), workers=workers, parts=parts)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-__all__ = ["chrome_trace_events", "write_chrome_trace"]
+__all__ = ["chrome_trace_events", "charge_trace", "write_chrome_trace"]
 
 
 def _group(tag: str) -> str:
@@ -84,6 +84,22 @@ def chrome_trace_events(
             }
         )
     return events
+
+
+def charge_trace(systems: Sequence[Optional[int]], events: Iterable) -> Iterator[dict]:
+    """A run's ``ledger:charge`` events as Chrome trace events, one pid
+    per system: ``systems[pid]`` is the recorder ``sys`` of the run's
+    ``pid``-th system (``None``: it emitted nothing), and every system
+    keeps its ``process_name`` row. Yields one system at a time."""
+    pids = {sys: pid for pid, sys in enumerate(systems) if sys is not None}
+    charges: list[list] = [[] for _ in systems]
+    for event in events:
+        if event.name == "ledger:charge":
+            pid = pids.get(event.sys)
+            if pid is not None:
+                charges[pid].append(event)
+    for pid, samples in enumerate(charges):
+        yield from chrome_trace_events(samples, pid=pid, process_name=f"system #{pid}")
 
 
 def write_chrome_trace(path, events: Iterable[dict]) -> str:

@@ -8,6 +8,7 @@ point), so callers cannot hand them to the exporters themselves.
         result = fig4_throughput.run([256, 1024])
     snapshot = obs.merged_metrics()          # run-level metrics snapshot
     events = obs.chrome_trace(recorder)      # merged, one pid per system
+    fragments = obs.fragments({"manifest"})  # plain per-system values
 
 :class:`~repro.system.System.__init__` checks
 :func:`current_observation` and registers itself. Registration only
@@ -22,6 +23,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Iterator, Optional
+
+from .chrometrace import charge_trace
+from .manifest import manifest_fragment
+from .metrics import merge_snapshots
+from .timeseries import TimeSeriesSampler
 
 __all__ = ["Observation", "observe", "current_observation"]
 
@@ -41,34 +47,50 @@ class Observation:
     # ------------------------------------------------------------ exports ----
     def chrome_trace(self, recorder) -> Iterator[dict]:
         """The recorder's ``ledger:charge`` events as merged Chrome trace
-        events; each observed system is one pid (its index here) with
-        its own ``process_name`` row, even when it charged nothing.
-        Yields one system's events at a time, for streaming writes."""
-        from .chrometrace import chrome_trace_events
-
-        pids = {}
-        for pid, system in enumerate(self.systems):
-            index = recorder.system_index(system.kernel)
-            if index is not None:
-                pids[index] = pid
-        charges: list[list] = [[] for _ in self.systems]
-        for event in recorder.events:
-            if event.name == "ledger:charge":
-                pid = pids.get(event.sys)
-                if pid is not None:
-                    charges[pid].append(event)
-        for pid, samples in enumerate(charges):
-            yield from chrome_trace_events(
-                samples, pid=pid, process_name=f"system #{pid}"
-            )
+        events, one pid per observed system (its index here)."""
+        return charge_trace(
+            [recorder.system_index(s.kernel) for s in self.systems], recorder.events
+        )
 
     def merged_metrics(self) -> dict:
         """Run-level metrics snapshot over every observed system."""
-        from .metrics import merge_snapshots, system_metrics
+        return merge_snapshots(f["metrics"] for f in self.fragments({"manifest"}))
 
-        return merge_snapshots(
-            system_metrics(system).snapshot() for system in self.systems
-        )
+    def fragments(self, parts: frozenset, recorder=None) -> list[dict]:
+        """One fragment per system, in creation order: plain values that
+        can leave the sweep worker the system ran in, holding only the
+        ``parts`` asked for — ``"manifest"``
+        (:func:`~repro.obs.manifest.manifest_fragment`), ``"timeseries"``
+        (``sample``: one closing telemetry sample), ``"events"`` (``sys``:
+        the system's index in ``recorder``), ``"procfs"`` (``vmstat``
+        text, ``numa_maps`` as ``(pid, name, text)`` per process),
+        ``"check"`` (invariant ``violations``)."""
+        out = []
+        for system in self.systems:
+            kernel = system.kernel
+            fragment: dict = {}
+            if "manifest" in parts:
+                fragment.update(manifest_fragment(system))
+            if "timeseries" in parts:
+                sampler = TimeSeriesSampler(kernel)
+                sampler.sample()
+                fragment["sample"] = sampler.to_dict()
+            if "events" in parts:
+                fragment["sys"] = recorder.system_index(kernel)
+            if "procfs" in parts:
+                from . import procfs
+
+                nodes = kernel.machine.num_nodes
+                fragment["vmstat"] = procfs.vmstat(kernel)
+                fragment["numa_maps"] = [
+                    (p.pid, p.name, procfs.numa_maps(p, nodes)) for p in kernel.processes
+                ]
+            if "check" in parts:
+                from ..check import check_system
+
+                fragment["violations"] = [vars(v) for v in check_system(system)]
+            out.append(fragment)
+        return out
 
 
 def current_observation() -> Optional[Observation]:

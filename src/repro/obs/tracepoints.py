@@ -227,6 +227,20 @@ class TracepointRecorder:
         """The ``sys`` of ``kernel``'s events (``None``: none recorded)."""
         return self._systems.get(id(kernel))
 
+    def extend(self, other: "TracepointRecorder") -> int:
+        """Append ``other``'s stream (events move) as if its systems were
+        recorded here after this recorder's own; returns the ``sys``
+        offset its events got."""
+        offset = len(self._kept)
+        if offset:
+            for event in other.events:
+                event.sys += offset
+        self.events.extend(other.events)
+        other.events = []
+        self.dropped += other.dropped
+        self._kept.extend(other._kept)
+        return offset
+
     # ------------------------------------------------------------ queries ----
     def __len__(self) -> int:
         return len(self.events)
@@ -250,7 +264,7 @@ class TracepointRecorder:
         return {
             "events": len(self.events),
             "dropped": self.dropped,
-            "systems": len(self._systems),
+            "systems": len(self._kept),
             "counts": self.counts(),
         }
 

@@ -69,5 +69,19 @@ def test_metrics_contract_detects_drift(docs_check):
     assert any("'sim.*'" in e for e in errors)
 
 
+def test_schema_ids_detect_drift(docs_check):
+    known = docs_check.source_schema_ids()
+    assert {"repro.run_manifest/v1", "repro.timeseries/v1", "repro.bench/v1"} <= known
+    assert docs_check.check_schema_ids({"doc.md": "writes `repro.run_manifest/v1`"}) == []
+    # a schema no code writes any more (the retired sweep manifest)
+    errors = docs_check.check_schema_ids(
+        {"doc.md": "ok\nmerged manifests (schema `repro.sweep_manifest/v1`)"}
+    )
+    assert errors == [
+        "doc.md:2: schema id 'repro.sweep_manifest/v1' is not a string "
+        "literal anywhere under src/repro"
+    ]
+
+
 def test_repo_docs_are_clean(docs_check):
     assert docs_check.main() == 0

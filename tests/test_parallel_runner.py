@@ -1,12 +1,14 @@
 """Determinism contract of the sharded sweep runner.
 
-Pins the three properties ``repro.experiments.parallel`` promises:
+Pins the properties ``repro.experiments.parallel`` promises:
 
-* the merged result is byte-identical for every worker count;
-* it is byte-identical to the serial ``run()`` of the same experiment
-  (same titles, notes, series order — metadata drift fails here),
-  seeded or not;
-* a worker that dies fails the sweep instead of hanging it.
+* the merged result, and every artifact folded from the points'
+  observation fragments, is byte-identical for every worker count;
+* the result is byte-identical to the serial ``run()`` of the same
+  experiment (same titles, notes, series order — metadata drift fails
+  here), seeded or not;
+* a worker that dies fails the sweep instead of hanging it, and the
+  CLI then writes no artifact.
 """
 
 from __future__ import annotations
@@ -29,18 +31,48 @@ from repro.experiments import (
 from repro.experiments.cli import main as cli_main
 from repro.experiments.parallel import (
     PARALLEL_EXPERIMENTS,
-    SWEEP_SCHEMA,
     resolve_workers,
     run_sweep,
 )
+from repro.obs import run_manifest
+from repro.obs.manifest import SCHEMA as MANIFEST_SCHEMA
 
 FIG_COUNTS = [16, 64]
 SERVE_OPTS = {"tenants": 2, "keys": 32, "clients": 1, "requests": 60}
 TABLE1_OPTS = {"configs": [(1024, 128), (1024, 512)], "num_threads": 4}
+#: Every observation part a point can return but the profile (host time).
+PARTS = frozenset({"manifest", "timeseries", "events", "procfs", "check"})
+#: The CLI's artifact flags, each writing into the directory that follows.
+ARTIFACT_FLAGS = ("--json", "--timeseries", "--tracepoints", "--trace")
 
 
 def _dump(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def _manifest(outcome, experiment: str) -> str:
+    return json.dumps(run_manifest(outcome.systems, experiment=experiment), sort_keys=True)
+
+
+def _artifacts(out) -> dict:
+    """Every file a CLI run wrote, the manifest without its host fields."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        data = (out / name).read_bytes()
+        if name.endswith(".manifest.json"):
+            doc = json.loads(data)
+            doc.pop("argv")
+            doc.pop("wall_time_s")
+            data = json.dumps(doc).encode()
+        files[name] = data
+    return files
+
+
+def _cli_run(argv: list, out, flags=ARTIFACT_FLAGS) -> tuple:
+    """``argv`` with the artifact ``flags`` pointed at ``out``: (exit, files)."""
+    for flag in flags:
+        argv = argv + [flag, str(out)]
+    return cli_main(argv), _artifacts(out)
 
 
 # ----------------------------------------------------------- inputs ----
@@ -64,31 +96,39 @@ def test_unknown_experiment_rejected():
 
 
 def test_fig4_workers_identical():
-    one = run_sweep("fig4", workers=1, page_counts=FIG_COUNTS, collect=True)
-    two = run_sweep("fig4", workers=2, page_counts=FIG_COUNTS, collect=True)
+    """Results, per-system fragments, the manifest folded from them and
+    the tracepoint stream (``sys`` offset per point) match."""
+    one = run_sweep("fig4", workers=1, page_counts=FIG_COUNTS, parts=PARTS)
+    two = run_sweep("fig4", workers=2, page_counts=FIG_COUNTS, parts=PARTS)
     assert _dump(one.results[0]) == _dump(two.results[0])
-    assert json.dumps(one.manifest, sort_keys=True) == json.dumps(
-        two.manifest, sort_keys=True
-    )
-    assert one.manifest["schema"] == SWEEP_SCHEMA
-    assert one.manifest["num_points"] == len(FIG_COUNTS)
+    assert json.dumps(one.systems) == json.dumps(two.systems)
+    assert _manifest(one, "fig4") == _manifest(two, "fig4")
+    manifest = run_manifest(one.systems)
+    assert manifest["schema"] == MANIFEST_SCHEMA
+    assert manifest["num_systems"] == len(one.systems) >= len(FIG_COUNTS)
+    streams = [[e.to_json() for e in o.recorder.events] for o in (one, two)]
+    assert streams[0] == streams[1]
+    assert one.recorder.summary() == two.recorder.summary()
+    assert {e["sys"] for e in streams[0]} == {f["sys"] for f in one.systems}
 
 
-def test_sweep_timeseries_worker_count_invariant():
-    """The manifest's merged telemetry series concatenates per-point
-    samples in point order — the same order however points were
-    sharded — so it is byte-identical for every worker count."""
+def test_sweep_timeseries_worker_count_invariant(tmp_path, capsys):
+    """``--timeseries`` concatenates one closing sample per system in
+    creation order — the same order however points were sharded — so
+    the file is byte-identical for every worker count."""
     from repro.obs.timeseries import SCHEMA
 
-    one = run_sweep("fig4", workers=1, page_counts=FIG_COUNTS, collect=True)
-    three = run_sweep("fig4", workers=3, page_counts=FIG_COUNTS, collect=True)
-    series = one.manifest["timeseries"]
+    files = []
+    for workers in ("1", "3"):
+        out = tmp_path / workers
+        assert cli_main(["fig4", "--workers", workers, "--timeseries", str(out)]) == 0
+        files.append((out / "fig4.timeseries.json").read_bytes())
+    capsys.readouterr()
+    series = json.loads(files[0])
     assert series["schema"] == SCHEMA
     assert len(series["points"]) >= len(FIG_COUNTS)
     assert all("t_us" in p and "pages_migrated" in p for p in series["points"])
-    assert json.dumps(series, sort_keys=True) == json.dumps(
-        three.manifest["timeseries"], sort_keys=True
-    )
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize("seed", [None, 123])
@@ -132,33 +172,48 @@ def test_serve_matches_serial(seed):
 
 
 def test_table1_workers_identical():
-    """One point per Table 1 row: result and merged manifest match
+    """One point per Table 1 row: result and folded manifest match
     across worker counts and the serial run."""
-    one = run_sweep("table1", workers=1, collect=True, **TABLE1_OPTS)
-    two = run_sweep("table1", workers=2, collect=True, **TABLE1_OPTS)
+    one = run_sweep("table1", workers=1, parts={"manifest"}, **TABLE1_OPTS)
+    two = run_sweep("table1", workers=2, parts={"manifest"}, **TABLE1_OPTS)
     assert _dump(one.results[0]) == _dump(two.results[0])
     assert _dump(one.results[0]) == _dump(table1_lu.run(**TABLE1_OPTS))
-    assert json.dumps(one.manifest, sort_keys=True) == json.dumps(two.manifest, sort_keys=True)
-    assert one.manifest["num_points"] == 2
+    assert _manifest(one, "table1") == _manifest(two, "table1")
+    assert len(one.systems) == 4  # two rows, a static and a next-touch system each
 
 
-def test_workers_json_keeps_non_sweep_artifacts(tmp_path):
-    """``--workers`` runs a non-sweep experiment serially and writes
-    the same artifact set as the serial CLI, equal but for the
-    host-dependent manifest fields."""
-    serial, sharded = tmp_path / "serial", tmp_path / "sharded"
-    assert cli_main(["blas1", "--json", str(serial)]) == 0
-    assert cli_main(["blas1", "--workers", "2", "--json", str(sharded)]) == 0
-    names = sorted(os.listdir(serial))
-    assert names == ["blas1.json", "blas1.manifest.json", "blas1.metrics.json"]
-    assert sorted(os.listdir(sharded)) == names
-    for name in names:
-        docs = [json.loads((d / name).read_text()) for d in (serial, sharded)]
-        if name.endswith(".manifest.json"):
-            for doc in docs:
-                doc.pop("wall_time_s")
-                doc.pop("argv")
-        assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+def test_workers_json_keeps_non_sweep_artifacts(tmp_path, capsys):
+    """A non-sweep experiment is one inline point at any ``--workers``:
+    with every artifact flag (and ``--check``) it writes the same files
+    as the plain run, equal but for the host-dependent manifest fields."""
+    argv = ["blas1", "--check"]
+    plain = _cli_run(argv, tmp_path / "plain")
+    sharded = _cli_run(argv + ["--workers", "2"], tmp_path / "sharded")
+    capsys.readouterr()
+    assert plain[0] == 0
+    assert sorted(plain[1]) == [
+        f"blas1.{kind}"
+        for kind in (
+            "json", "manifest.json", "metrics.json", "numa_maps.txt",
+            "phases.trace.json", "timeseries.json", "timeseries.trace.json",
+            "trace.json", "tracepoints.jsonl", "vmstat.txt",
+        )
+    ]
+    assert sharded == plain
+
+
+def test_serve_artifacts_identical_for_every_worker_count(tmp_path, capsys):
+    """The serve race's five policy points: ``--workers 2``, ``--workers
+    1`` and the default write the same bytes (``--check`` included)."""
+    argv = ["serve", "--requests", "200", "--check"]
+    runs = [
+        _cli_run(argv + extra, tmp_path / str(i), flags=("--json", "--timeseries"))
+        for i, extra in enumerate(([], ["--workers", "1"], ["--workers", "2"]))
+    ]
+    capsys.readouterr()
+    assert "serve.timeseries.json" in runs[0][1]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_parallel_experiments_registry():
@@ -201,3 +256,16 @@ def test_cli_dead_worker_is_one_line_error(killed_fig4_workers, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: fig4 sweep failed")
+
+
+def test_cli_dead_worker_under_observation_writes_nothing(
+    killed_fig4_workers, tmp_path, capsys
+):
+    """Observed points die the same way, and no partial artifact is left."""
+    out = tmp_path / "out"
+    argv = ["fig4", "--workers", "2", "--json", str(out), "--tracepoints", str(out)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: fig4 sweep failed")
+    assert not out.exists() or not os.listdir(out)

@@ -307,6 +307,62 @@ def test_cli_fig5_trace_is_byte_stable(tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == FIG5_TRACE_SHA256
 
 
+#: SHA-256 of quick fig5's serial artifacts per flag set, recorded when
+#: ``--workers`` still ran its own observation path. A manifest's digest
+#: is over its JSON without ``argv``, ``wall_time_s`` and
+#: ``git_revision``, keys sorted.
+FIG5_PINS = {
+    ("--json", "--timeseries"): {
+        "fig5.json": "3ca5f84493c94e6a2106eab5924e14f88d5df06a83c1483e7c78eee17317ab41",
+        "fig5.manifest.json": "88923cf5ccfee0267a5bf64d579316671f34741bf648d378d4fa976f66f98eb2",
+        "fig5.metrics.json": "d7625e302819d592744edf17ceebb732fff86b1447107ae42ab8170c7b6b8ca6",
+        "fig5.timeseries.json": "3b4179c564f2f50aeeec96354c4d6c5eeaa9c089ef2ba132ad5fcb7a2e58d675",
+        "fig5.timeseries.trace.json": "650122e34870da651061b6cbe7d52d3d184d3aafff03984b26e2a2d10d9641ca",
+    },
+    ("--tracepoints",): {
+        "fig5.numa_maps.txt": "a128e39aea931dd26e4b032ec08227b8f21e8c9a72b01a609d0b9fcda50b3c42",
+        "fig5.phases.trace.json": "e8e488265f2f431cbbdf60081727f3e2859fd0d0ea71d18e9e18a54c7bee71c6",
+        "fig5.tracepoints.jsonl": "c17a9d0df84fd6cf9d9026d208ee5311c9e35b030eb2e6f49d6ffdf8841ef4e1",
+        "fig5.vmstat.txt": "ac4755d4261812e2e290ab5d37b1bf244038f1252e695098834ad556de1c9bd1",
+    },
+    ("--trace",): {"fig5.trace.json": FIG5_TRACE_SHA256},
+}
+
+
+@pytest.mark.parametrize(
+    "flags, workers",
+    [
+        (("--json", "--timeseries"), "1"),
+        (("--json", "--timeseries"), "2"),
+        (("--tracepoints",), "1"),
+        (("--tracepoints",), "2"),
+        (("--trace",), "2"),  # at one worker: test_cli_fig5_trace_is_byte_stable
+    ],
+    ids=["json-1", "json-2", "tracepoints-1", "tracepoints-2", "trace-2"],
+)
+def test_cli_fig5_artifacts_are_pinned(flags, workers, tmp_path, capsys):
+    """Inline and sharded runs reproduce the serial artifacts' bytes."""
+    import hashlib
+
+    from repro.experiments import cli
+
+    argv = ["fig5", "--workers", workers]
+    for flag in flags:
+        argv += [flag, str(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    digests = {}
+    for name in sorted(p.name for p in tmp_path.iterdir()):
+        data = (tmp_path / name).read_bytes()
+        if name.endswith(".manifest.json"):
+            doc = json.loads(data)
+            for key in ("argv", "wall_time_s", "git_revision"):
+                doc.pop(key)
+            data = json.dumps(doc, sort_keys=True).encode()
+        digests[name] = hashlib.sha256(data).hexdigest()
+    assert digests == FIG5_PINS[flags]
+
+
 #: One ``numa_maps`` line: address, policy, anon/file page count.
 NUMA_MAPS_RE = re.compile(
     r"^[0-9a-f]{12} (default|bind:[\d,]+|prefer:\d+|interleave:[\d,]+) "

@@ -34,7 +34,10 @@ It additionally holds two docs to their contracts:
   exact field list;
 * ``docs/observability.md`` §10: the telemetry counter table must list
   exactly the names in ``repro.obs.telemetry.COUNTERS``, each with its
-  exact unit.
+  exact unit;
+* every doc: each artifact schema id it names (``repro.<name>/vN``)
+  must be spelled as a string literal somewhere under ``src/repro`` —
+  a documented schema that no code writes any more fails.
 
 Run via ``make docs-check``. Exit status 1 lists every broken
 reference with ``file:line``.
@@ -42,6 +45,7 @@ reference with ``file:line``.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import sys
@@ -67,7 +71,7 @@ for _doc in REQUIRED_DOCS:
         DOC_FILES.append(_doc)
 
 # A `/vN` suffix marks an artifact schema id (repro.run_manifest/v1),
-# not a module reference — matched so it can be skipped.
+# not a module reference — matched so check_schema_ids can take it.
 DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z_0-9]*)+(/v\d+)?")
 PATH_RE = re.compile(r"\b(?:src/)?repro/[A-Za-z_0-9/]+\.py\b")
 CLI_LINE_RE = re.compile(r"repro-experiments\s+([A-Za-z_0-9-]+)")
@@ -313,6 +317,45 @@ def check_telemetry_contract() -> list[str]:
     return errors
 
 
+def source_schema_ids() -> set[str]:
+    """Every schema id that is a whole string literal under src/repro."""
+    ids = set()
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                match = DOTTED_RE.fullmatch(node.value)
+                if match is not None and match.group(1) is not None:
+                    ids.add(node.value)
+    return ids
+
+
+def check_schema_ids(docs: "dict[str, str] | None" = None) -> list[str]:
+    """Every schema id the docs name is one the code writes.
+
+    ``docs`` maps a label to a document's text (default: every file in
+    :data:`DOC_FILES`); each ``repro.<name>/vN`` in it must occur as a
+    string literal under ``src/repro`` (:func:`source_schema_ids`).
+    """
+    if docs is None:
+        docs = {
+            str(path.relative_to(REPO)): path.read_text()
+            for path in DOC_FILES
+            if path.exists()
+        }
+    known = source_schema_ids()
+    errors = []
+    for label, text in docs.items():
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for match in DOTTED_RE.finditer(line):
+                schema = match.group(0)
+                if match.group(1) is not None and schema not in known:
+                    errors.append(
+                        f"{label}:{lineno}: schema id {schema!r} is not a "
+                        "string literal anywhere under src/repro"
+                    )
+    return errors
+
+
 def main() -> int:
     choices, flags = cli_vocabulary()
     targets = make_targets()
@@ -320,6 +363,7 @@ def main() -> int:
     errors.extend(check_metrics_contract())
     errors.extend(check_tracepoint_contract())
     errors.extend(check_telemetry_contract())
+    errors.extend(check_schema_ids())
     for path in DOC_FILES:
         if not path.exists():
             errors.append(f"{path.relative_to(REPO)}: listed doc file missing")
